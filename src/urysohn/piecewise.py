@@ -36,11 +36,14 @@ class UniformMesh:
     h: float
     points: np.ndarray
 
-    def cell_of(self, s: float) -> int:
-        """0-based index of the cell containing s; interior partition points
-        resolve to the left cell (values there are left limits)."""
-        self._check_domain(np.asarray(s, dtype=float))
-        return int(self._cells(np.asarray(s, dtype=float), side="left"))
+    def cell_of(self, s):
+        """0-based index of the cell containing s (an int, or an array for an
+        array s); interior partition points resolve to the left cell (values
+        there are left limits)."""
+        arr = np.asarray(s, dtype=float)
+        self._check_domain(arr)
+        cells = self._cells(arr, side="left")
+        return int(cells) if arr.ndim == 0 else cells
 
     def _check_domain(self, s: np.ndarray) -> None:
         if np.any((s < 0.0) | (s > 1.0)):

@@ -9,6 +9,8 @@ right-hand sides, and a small registry of built-in benchmark problems.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingDerivativeError
 from .piecewise import UniformMesh, make_mesh
-from .quadrature import GaussRule, gauss_rule, split_panels
+from .quadrature import GaussRule, SplitOperator, gauss_rule
 
 __all__ = [
     "GreenKernel",
@@ -45,12 +47,9 @@ class GreenKernel:
 
     The pieces agree on the diagonal.  ``du_*`` are the first u-derivative
     pieces, ``du2_*`` the second; both are optional and only needed for
-    Newton solves and derivative checks.  All callables take (s, t, u) and
-    must accept numpy arrays.
-
-    ``smoothness_r`` records the claimed C^r smoothness of each piece on
-    its closed triangle, i.e. the largest polynomial order the kernel is
-    known to support at full rate.
+    Newton solves and derivative checks.  All callables take (s, t, u) as
+    numpy arrays that broadcast against each other, and may return any
+    value that broadcasts to their common shape.
     """
 
     kappa1: Callable
@@ -59,7 +58,6 @@ class GreenKernel:
     du_kappa2: Optional[Callable] = None
     du2_kappa1: Optional[Callable] = None
     du2_kappa2: Optional[Callable] = None
-    smoothness_r: int = 4
 
     def require_first_derivative(self):
         if self.du_kappa1 is None or self.du_kappa2 is None:
@@ -114,29 +112,20 @@ def _sampled(x, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(x(t), dtype=float), t.shape)
 
 
-def _integrate_pieces(fn1, fn2, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
-    """Integrate fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1] with panels
-    that never cross the diagonal."""
-    pan = split_panels(s, mesh, rule)
-    total = 0.0
-    if pan.t1.size:
-        total += float(np.sum(fn1(s, pan.t1, _sampled(x, pan.t1)) * pan.w1))
-    if pan.t2.size:
-        total += float(np.sum(fn2(s, pan.t2, _sampled(x, pan.t2)) * pan.w2))
-    return total
+def _apply_at(fn1, fn2, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+    """One-point split integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1]."""
+    return float(SplitOperator(mesh, rule, float(s)).apply(fn1, fn2, x)[0])
 
 
 def apply_K(prob: UrysohnProblem, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
     """The integral operator: integral_0^1 kappa(s, t, x(t)) dt."""
-    _check_unit("s", s)
     k = prob.kernel
-    return _integrate_pieces(k.kappa1, k.kappa2, x, float(s), rule, mesh)
+    return _apply_at(k.kappa1, k.kappa2, x, s, rule, mesh)
 
 
 def apply_Kprime(prob: UrysohnProblem, x, v, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
-    _check_unit("s", s)
     k = prob.kernel
     k.require_first_derivative()
 
@@ -146,13 +135,12 @@ def apply_Kprime(prob: UrysohnProblem, x, v, s: float, rule: GaussRule, mesh: Un
     def fn2(sv, t, xv):
         return k.du_kappa2(sv, t, xv) * _sampled(v, t)
 
-    return _integrate_pieces(fn1, fn2, x, float(s), rule, mesh)
+    return _apply_at(fn1, fn2, x, s, rule, mesh)
 
 
 def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
     """Second derivative at x applied to (v1, v2):
     integral of d^2 kappa/du^2 (s, t, x(t)) v1(t) v2(t) dt."""
-    _check_unit("s", s)
     k = prob.kernel
     k.require_second_derivative()
 
@@ -162,15 +150,22 @@ def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s: float, rule: GaussRule, me
     def fn2(sv, t, xv):
         return k.du2_kappa2(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t)
 
-    return _integrate_pieces(fn1, fn2, x, float(s), rule, mesh)
+    return _apply_at(fn1, fn2, x, s, rule, mesh)
+
+
+def _manufactured(kernel: GreenKernel, phi, s, rule: GaussRule, mesh: UniformMesh):
+    """phi(s) - integral kappa(s, t, phi(t)) dt at a scalar or an array s,
+    with one batched split integral for all points."""
+    arr = np.asarray(s, dtype=float)
+    k_vals = SplitOperator(mesh, rule, arr).apply(kernel.kappa1, kernel.kappa2, phi)
+    out = _sampled(phi, arr) - k_vals.reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 def manufactured_f(kernel: GreenKernel, phi, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
     """f(s) := phi(s) - integral kappa(s, t, phi(t)) dt, so that phi solves the
     problem exactly up to quadrature error."""
-    _check_unit("s", s)
-    value = _integrate_pieces(kernel.kappa1, kernel.kappa2, phi, float(s), rule, mesh)
-    return float(np.asarray(phi(float(s)), dtype=float)) - value
+    return _manufactured(kernel, phi, float(s), rule, mesh)
 
 
 def _rhs_internals():
@@ -187,18 +182,13 @@ def manufactured_rhs(kernel: GreenKernel, phi) -> Callable:
     Uses a fixed 8-cell mesh with 16-point Gauss panels; for kernels that
     are analytic off the diagonal the quadrature error is negligible
     against every effect the solvers can measure.  Accepts scalars or
-    arrays (evaluated pointwise: the split location moves with s).
+    arrays; an array is evaluated in one batch, each point with its own
+    split.
     """
     mesh, rule = _rhs_internals()
 
     def f(s):
-        arr = np.asarray(s, dtype=float)
-        if arr.ndim == 0:
-            return manufactured_f(kernel, phi, float(arr), rule, mesh)
-        out = np.empty(arr.shape)
-        for idx in np.ndindex(arr.shape):
-            out[idx] = manufactured_f(kernel, phi, float(arr[idx]), rule, mesh)
-        return out
+        return _manufactured(kernel, phi, s, rule, mesh)
 
     return f
 
@@ -253,7 +243,6 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
         du_kappa2=lambda s, t, u: upper(s, t) * dpsi(t, u),
         du2_kappa1=lambda s, t, u: lower(s, t) * d2psi(t, u),
         du2_kappa2=lambda s, t, u: upper(s, t) * d2psi(t, u),
-        smoothness_r=8,
     )
 
     def phi(s):
@@ -283,7 +272,6 @@ def _linear_green_problem(gamma: float, scale: float) -> UrysohnProblem:
         du_kappa2=lambda s, t, u: scale * upper(s, t) * np.ones_like(u),
         du2_kappa1=lambda s, t, u: np.zeros_like(u),
         du2_kappa2=lambda s, t, u: np.zeros_like(u),
-        smoothness_r=8,
     )
     phi = np.exp
     return UrysohnProblem(kernel, manufactured_rhs(kernel, phi), exact=phi, name="linear-green")
@@ -297,7 +285,6 @@ def _zero_kernel_problem() -> UrysohnProblem:
         kappa1=zero, kappa2=zero,
         du_kappa1=zero, du_kappa2=zero,
         du2_kappa1=zero, du2_kappa2=zero,
-        smoothness_r=8,
     )
 
     def f(s):
@@ -309,24 +296,35 @@ def _zero_kernel_problem() -> UrysohnProblem:
 def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = "manufactured") -> UrysohnProblem:
     """Look up a built-in problem by identifier.
 
-    ``params`` may override numeric problem parameters (``gamma`` for the
-    Green's-kernel problems, plus ``scale`` for linear-green).  ``rhs_mode``
-    selects the manufactured right-hand side (default) or, for
-    paper-hammerstein only, the historical printed one.
+    ``params`` may override numeric problem parameters (``gamma`` > 0 for
+    the Green's-kernel problems, plus ``scale`` for linear-green); both must
+    be finite numbers.  ``rhs_mode`` selects the manufactured right-hand
+    side (default) or, for paper-hammerstein only, the historical printed
+    one.
     """
+    if params is not None and not isinstance(params, dict):
+        raise ConfigError(f"params must be a mapping, got {params!r}")
     params = dict(params or {})
     if rhs_mode not in RHS_MODES:
         raise ConfigError(f"unknown rhs mode {rhs_mode!r}; expected one of {RHS_MODES}")
 
     def take(key, default):
         value = params.pop(key, default)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                or not math.isfinite(value):
+            raise ConfigError(f"parameter {key!r} must be a finite number, got {value!r}")
         return float(value)
 
+    def take_gamma():
+        gamma = take("gamma", GAMMA_DEFAULT)
+        if not gamma > 0.0:
+            raise ConfigError(f"gamma must be positive, got {gamma!r}")
+        return gamma
+
     if problem_id == "paper-hammerstein":
-        gamma = take("gamma", GAMMA_DEFAULT)
-        prob = _hammerstein_problem(gamma, rhs_mode)
+        prob = _hammerstein_problem(take_gamma(), rhs_mode)
     elif problem_id == "linear-green":
-        gamma = take("gamma", GAMMA_DEFAULT)
+        gamma = take_gamma()
         scale = take("scale", 1.0)
         if rhs_mode != "manufactured":
             raise ConfigError(f"{problem_id} has no printed right-hand side")

@@ -12,8 +12,6 @@ __all__ = [
     "GaussRule",
     "gauss_rule",
     "integrate_cell",
-    "SplitPanels",
-    "split_panels",
     "integrate_split",
 ]
 
@@ -56,52 +54,92 @@ def integrate_cell(g, a: float, b: float, rule: GaussRule) -> float:
     return float(width * np.dot(rule.weights, _values(g, t)))
 
 
-@dataclass(frozen=True)
-class SplitPanels:
-    """Gauss panels for the two sides of a split point s on a mesh.
+class SplitOperator:
+    """Integrals split at t = s, for a fixed batch of points s on a mesh.
 
-    Arrays are (panels, p); row k of part 1 covers cell ``cells1[k]`` with
-    t <= s, part 2 likewise with t >= s.  No panel straddles a mesh point
-    or the split, so each panel sees a smooth integrand.  Zero-width
-    sub-panels (s on a mesh point) are dropped.
+    For each s in cell j, the integrand's first piece is integrated over
+    the regular Gauss panels of cells 0..j-1 and the sub-panel [t_j, s], the
+    second piece over the sub-panel [s, t_{j+1}] and cells j+1..n-1.  No
+    panel straddles a mesh point or the split.  A sub-panel of zero width
+    (s on a mesh point) carries zero weights.
+
+    The geometry is built once: the regular (n, p) node grid ``t`` with the
+    panel weights ``w`` shared by every cell, the split cell ``cells`` of
+    each s, its sub-panel nodes ``t_sub`` (S, 2p) with weights ``w_sub``
+    (first p columns on [t_j, s], last p on [s, t_{j+1}]), and the points
+    grouped by split cell.  Work then loops over those groups, at most n,
+    and holds one (points in the group, cells, p) block at a time.
     """
 
-    t1: np.ndarray
-    w1: np.ndarray
-    cells1: np.ndarray
-    t2: np.ndarray
-    w2: np.ndarray
-    cells2: np.ndarray
+    def __init__(self, mesh, rule: GaussRule, s_points):
+        s = np.asarray(s_points, dtype=float).ravel()
+        cells = mesh.cell_of(s)
+        pts, h = mesh.points, mesh.h
+        col, lo, hi = s[:, None], pts[cells][:, None], pts[cells + 1][:, None]
+        self.mesh, self.rule, self.s, self.cells = mesh, rule, s, cells
+        self.t = pts[:-1, None] + h * rule.nodes
+        self.w = h * rule.weights
+        self.t_sub = np.concatenate([lo + (col - lo) * rule.nodes,
+                                     col + (hi - col) * rule.nodes], axis=1)
+        self.w_sub = np.concatenate([(col - lo) * rule.weights,
+                                     (hi - col) * rule.weights], axis=1)
+        order = np.argsort(cells, kind="stable")
+        bounds = np.flatnonzero(np.diff(cells[order])) + 1
+        self.groups = [(int(cells[rows[0]]), rows) for rows in np.split(order, bounds)
+                       if rows.size]
+
+    def _sample(self, x, t, cells):
+        """x at nodes t lying in the given cells.  A piecewise polynomial on
+        this mesh is evaluated on those cells (its one-sided value at a cell
+        edge); anything else is called."""
+        if getattr(getattr(x, "mesh", None), "n", None) == self.mesh.n:
+            return x.eval_on_cells(t, cells)
+        return np.broadcast_to(np.asarray(x(t), dtype=float), t.shape)
+
+    def pieces(self, fn1, fn2, x):
+        """Values of fn(s, t, x(t)) on every panel, fn1 left of s and fn2
+        right of it.
+
+        Returns ``(sub, blocks)``.  ``sub`` is (S, 2p) on the sub-panels, in
+        the layout of ``t_sub``.  ``blocks`` yields ``(j, rows, left,
+        right)`` for the points ``rows`` in cell j: fn1 on cells 0..j-1 as
+        a (len(rows), j, p) block and fn2 on cells j+1..n-1 as a
+        (len(rows), n-j-1, p) block.
+        """
+        p, n = self.rule.p, self.mesh.n
+        x_reg = self._sample(x, self.t, np.arange(n)[:, None])
+        x_sub = self._sample(x, self.t_sub, self.cells[:, None])
+        col, shape = self.s[:, None], (self.s.size, p)
+        sub = np.concatenate([_piece(fn1, col, self.t_sub[:, :p], x_sub[:, :p], shape),
+                              _piece(fn2, col, self.t_sub[:, p:], x_sub[:, p:], shape)], axis=1)
+
+        def block(fn, s, cells):
+            shape = (s.shape[0], cells.stop - cells.start, p)
+            if shape[1] == 0:
+                return np.zeros(shape)
+            return _piece(fn, s, self.t[cells], x_reg[cells], shape)
+
+        def blocks():
+            for j, rows in self.groups:
+                s = self.s[rows, None, None]
+                yield j, rows, block(fn1, s, slice(0, j)), block(fn2, s, slice(j + 1, n))
+
+        return sub, blocks()
+
+    def apply(self, fn1, fn2, x) -> np.ndarray:
+        """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
+        every s."""
+        sub, blocks = self.pieces(fn1, fn2, x)
+        out = np.einsum("sk,sk->s", sub, self.w_sub)
+        for _, rows, left, right in blocks:
+            out[rows] += (left @ self.w).sum(axis=1) + (right @ self.w).sum(axis=1)
+        return out
 
 
-def split_panels(s: float, mesh, rule: GaussRule) -> SplitPanels:
-    """Panel nodes and weights for integrating across the split at s."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"split point outside [0, 1]: {s}")
-    pts, h, n = mesh.points, mesh.h, mesh.n
-    j = mesh.cell_of(s)
-    xi, w = rule.nodes, rule.weights
-
-    lo, hi = pts[j], pts[j + 1]
-    t1 = pts[:j, None] + h * xi
-    w1 = np.broadcast_to(h * w, t1.shape)
-    cells1 = np.arange(j)
-    if s > lo:  # sub-panel [t_j, s] on the left side of the split
-        d = s - lo
-        t1 = np.vstack([t1, lo + d * xi])
-        w1 = np.vstack([w1, d * w])
-        cells1 = np.append(cells1, j)
-
-    t2 = pts[j + 1:n, None] + h * xi
-    w2 = np.broadcast_to(h * w, t2.shape)
-    cells2 = np.arange(j + 1, n)
-    if s < hi:  # sub-panel [s, t_{j+1}] on the right side
-        d = hi - s
-        t2 = np.vstack([s + d * xi, t2])
-        w2 = np.vstack([d * w, w2])
-        cells2 = np.append(j, cells2)
-
-    return SplitPanels(t1, w1, cells1, t2, w2, cells2)
+def _piece(fn, s, t, xv, shape):
+    """fn(s, t, x(t)) broadcast to the block shape (kernels may return
+    scalars or arrays independent of some argument)."""
+    return np.broadcast_to(np.asarray(fn(s, t, xv), dtype=float), shape)
 
 
 def integrate_split(g1, g2, s: float, mesh, rule: GaussRule) -> float:
@@ -111,10 +149,5 @@ def integrate_split(g1, g2, s: float, mesh, rule: GaussRule) -> float:
     nor the split lies inside any Gauss panel; g1 is only evaluated at
     t <= s and g2 only at t >= s.
     """
-    pan = split_panels(s, mesh, rule)
-    total = 0.0
-    if pan.t1.size:
-        total += float(np.sum(_values(g1, pan.t1) * pan.w1))
-    if pan.t2.size:
-        total += float(np.sum(_values(g2, pan.t2) * pan.w2))
-    return total
+    op = SplitOperator(mesh, rule, s)
+    return float(op.apply(lambda _s, t, _x: g1(t), lambda _s, t, _x: g2(t), np.zeros_like)[0])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, basis_table, project
-from .quadrature import GaussRule, gauss_rule, split_panels
+from .quadrature import GaussRule, SplitOperator, gauss_rule
 from .problems import UrysohnProblem, apply_K, kernel_eval
 
 __all__ = [
@@ -41,11 +41,6 @@ __all__ = [
 METHODS = ("picard", "newton")
 
 INITIAL_GUESSES = ("project-f", "zero")
-
-# Keep cached panel geometry under ~64 MB; above that it is rebuilt on the
-# fly (slower per iteration, flat in memory).
-_PANEL_CACHE_ENTRIES = 8_000_000
-
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -112,46 +107,6 @@ class PartitionValues:
         object.__setattr__(self, "values", values)
 
 
-class _SplitApply:
-    """Applies kernel-type integrals at a fixed batch of points s, reusing
-    panel geometry across iterations when it fits in memory."""
-
-    def __init__(self, mesh: UniformMesh, rule: GaussRule, s_points: np.ndarray):
-        self.mesh = mesh
-        self.rule = rule
-        self.s = np.asarray(s_points, dtype=float)
-        entries = self.s.size * (mesh.n + 1) * rule.p
-        self._cache = (
-            [split_panels(float(s), mesh, rule) for s in self.s]
-            if entries <= _PANEL_CACHE_ENTRIES
-            else None
-        )
-
-    def _panels(self, i: int):
-        if self._cache is not None:
-            return self._cache[i]
-        return split_panels(float(self.s[i]), self.mesh, self.rule)
-
-    def _x_on(self, x, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        if isinstance(x, PiecewisePoly) and x.mesh.n == self.mesh.n:
-            return x.eval_on_cells(t, cells[:, None])
-        return np.broadcast_to(np.asarray(x(t), dtype=float), t.shape)
-
-    def apply(self, fn1, fn2, x) -> np.ndarray:
-        """Values of integral fn1(s,t,x(t)) [t<=s] + fn2 [t>=s] at every s."""
-        out = np.empty(self.s.size)
-        for i in range(self.s.size):
-            s = float(self.s[i])
-            pan = self._panels(i)
-            acc = 0.0
-            if pan.t1.size:
-                acc += float(np.sum(fn1(s, pan.t1, self._x_on(x, pan.t1, pan.cells1)) * pan.w1))
-            if pan.t2.size:
-                acc += float(np.sum(fn2(s, pan.t2, self._x_on(x, pan.t2, pan.cells2)) * pan.w2))
-            out[i] = acc
-        return out
-
-
 def _projection_stencil(mesh: UniformMesh, r: int, rule: GaussRule):
     """Per-cell quadrature nodes (flattened) and the map from values at those
     nodes to projection coefficients."""
@@ -191,9 +146,10 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
 
     Picard iterates the fixed point; Newton solves the linearized update
     equation and needs the kernel's first u-derivative pieces.  Raises
-    DivergenceError when ``max_iter`` is exhausted and
-    SingularLinearizationError when the Newton matrix is unusable (a sign
-    that 1 is nearly an eigenvalue of the operator derivative).
+    DivergenceError when ``max_iter`` is exhausted or, at once, when an
+    update is not finite, and SingularLinearizationError when the Newton
+    matrix is unusable (a sign that 1 is nearly an eigenvalue of the
+    operator derivative).
     """
     if r < 1:
         raise ValueError(f"polynomial order must be positive, got {r}")
@@ -202,7 +158,7 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     inner = gauss_rule(opts.quad_points)
     outer = gauss_rule(max(r, 10))
     nodes, to_coeffs = _projection_stencil(mesh, r, outer)
-    applier = _SplitApply(mesh, inner, nodes)
+    applier = SplitOperator(mesh, inner, nodes)
 
     f_at_nodes = np.broadcast_to(np.asarray(prob.f(nodes), dtype=float), nodes.shape)
     f_coeffs = to_coeffs(f_at_nodes)
@@ -228,6 +184,8 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
             delta = _solve_newton_step(jac, -resid.ravel())
             c_next = c + delta.reshape(mesh.n, r)
         update = float(np.max(np.abs(c_next - c)))
+        if not math.isfinite(update):
+            raise _non_finite(iteration, update, PiecewisePoly(mesh, r, c))
         c = c_next
         if update <= opts.tol:
             residual_poly = PiecewisePoly(mesh, r, c - picard_value(c))
@@ -245,7 +203,19 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     )
 
 
+def _non_finite(iteration: int, update: float, last_iterate: PiecewisePoly) -> DivergenceError:
+    """The error for an update that is NaN or infinite; it carries the last
+    finite iterate."""
+    return DivergenceError(
+        f"non-finite update in iteration {iteration} (update {update})",
+        last_iterate=last_iterate,
+        update_norm=update,
+    )
+
+
 def _solve_newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(rhs))):
+        return np.full_like(rhs, np.nan)  # reported by the caller as a non-finite update
     cond = np.linalg.cond(jac)
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularLinearizationError(
@@ -263,35 +233,31 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     """Matrix of <K'(x) b_col, b_row> over the cell basis, shape (n r, n r).
 
     The inner integral splits at the diagonal t = s; the outer one is
-    per-cell Gauss with the same rule.
+    per-cell Gauss with the same rule.  Row block j comes from the p outer
+    nodes in cell j, which form one group of the split operator: regular
+    cells reuse the fixed basis table, and only the sub-panels of cell j
+    need their own.
     """
     kern = prob.kernel
     kern.require_first_derivative()
-    n, h, pts = mesh.n, mesh.h, mesh.points
-    table = basis_table(r, rule.nodes)  # (p, r)
+    n, h, p = mesh.n, mesh.h, rule.p
     inv_sqrt_h = 1.0 / math.sqrt(h)
-    mat = np.zeros((n * r, n * r))
+    table = basis_table(r, rule.nodes)  # (p, r)
+    op = SplitOperator(mesh, rule, (mesh.points[:-1, None] + h * rule.nodes).ravel())
+    sub, blocks = op.pieces(kern.du_kappa1, kern.du_kappa2, x)
 
-    for j in range(n):
-        rows = slice(j * r, (j + 1) * r)
-        for a in range(rule.p):
-            s = float(pts[j] + h * rule.nodes[a])
-            pan = split_panels(s, mesh, rule)
-            inner = np.zeros((n, r))
-            for t, w, cells, dfn in (
-                (pan.t1, pan.w1, pan.cells1, kern.du_kappa1),
-                (pan.t2, pan.w2, pan.cells2, kern.du_kappa2),
-            ):
-                if not t.size:
-                    continue
-                xv = x.eval_on_cells(t, cells[:, None])
-                lw = dfn(s, t, xv) * w  # (panels, p)
-                tau = np.clip((t - pts[cells][:, None]) / h, 0.0, 1.0)
-                bas = basis_table(r, tau)  # (panels, p, r)
-                inner[cells] += inv_sqrt_h * np.einsum("kp,kpq->kq", lw, bas)
-            mat[rows, :] += np.outer(
-                h * rule.weights[a] * inv_sqrt_h * table[a], inner.ravel()
-            )
+    tau = np.clip((op.t_sub - mesh.points[op.cells][:, None]) / h, 0.0, 1.0)
+    own = inv_sqrt_h * np.einsum("sk,skq->sq", sub * op.w_sub, basis_table(r, tau))
+    regular = inv_sqrt_h * op.w[:, None] * table  # (p, r) weighted column basis
+    test = h * inv_sqrt_h * rule.weights[:, None] * table  # (p, r) outer rule x row basis
+
+    mat = np.empty((n * r, n * r))
+    for j, rows, left, right in blocks:
+        inner = np.empty((rows.size, n, r))
+        inner[:, :j] = left @ regular
+        inner[:, j] = own[rows]
+        inner[:, j + 1:] = right @ regular
+        mat[j * r:(j + 1) * r] = test[rows - j * p].T @ inner.reshape(rows.size, n * r)
     return mat
 
 
@@ -314,8 +280,7 @@ def iterated_at_partition(prob: UrysohnProblem, sol: GalerkinSolution,
         values = _iterated_discrete(sol, mesh.points)
         return PartitionValues(mesh, values)
     kern = prob.kernel
-    applier = _SplitApply(mesh, rule, mesh.points)
-    k_vals = applier.apply(kern.kappa1, kern.kappa2, sol.x_g)
+    k_vals = SplitOperator(mesh, rule, mesh.points).apply(kern.kappa1, kern.kappa2, sol.x_g)
     f_vals = np.broadcast_to(np.asarray(prob.f(mesh.points), dtype=float), mesh.points.shape)
     return PartitionValues(mesh, k_vals + f_vals)
 
@@ -391,6 +356,8 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
             delta = _solve_newton_step(jac, -(x - step_value(x)))
             x_next = x + delta
         update = sqrt_h * float(np.max(np.abs(x_next - x)))  # coefficient scale
+        if not math.isfinite(update):
+            raise _non_finite(iteration, update, PiecewisePoly(mesh, 1, sqrt_h * x[:, None]))
         x = x_next
         if update <= opts.tol:
             resid = float(np.max(np.abs(x - step_value(x))))

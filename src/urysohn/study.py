@@ -9,7 +9,9 @@ estimates empirical orders and the scaled error coefficients.
 from __future__ import annotations
 
 import json
+import numbers
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -46,12 +48,22 @@ OUTPUT_FORMATS = ("csv", "json", "md")
 _REFERENCE_REFINEMENT = 8
 
 
+def _integer(name: str, value) -> int:
+    """An integer field from outside (JSON or keyword); bools and strings are
+    rejected rather than coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class StudyConfig:
     """Everything needed to reproduce a convergence study.
 
     ``n_sequence`` must be strictly doubling so partition points nest.
-    JSON config files use exactly these field names.
+    ``r``, ``max_iter``, ``quad_points`` and the ``n_sequence`` entries must
+    be integers and ``tol`` a number; strings and bools are rejected, not
+    coerced.  JSON config files use exactly these field names.
     """
 
     problem_id: str
@@ -68,7 +80,14 @@ class StudyConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
-        self.n_sequence = tuple(int(n) for n in self.n_sequence)
+        if isinstance(self.n_sequence, (str, bytes)) or not isinstance(self.n_sequence, Iterable):
+            raise ConfigError(f"n_sequence must be a list of integers, got {self.n_sequence!r}")
+        self.n_sequence = tuple(_integer("n_sequence entry", n) for n in self.n_sequence)
+        self.r = _integer("r", self.r)
+        self.max_iter = _integer("max_iter", self.max_iter)
+        self.quad_points = _integer("quad_points", self.quad_points)
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ConfigError(f"tol must be a number, got {self.tol!r}")
         if len(self.n_sequence) < 2:
             raise ConfigError("n_sequence needs at least two levels")
         for a, b in zip(self.n_sequence, self.n_sequence[1:]):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from urysohn.cli import main
 
 
@@ -54,6 +56,17 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
     path.write_text(json.dumps({"problem_id": "zero-kernel", "mystery": 1}))
     assert main(["study", "--config", str(path)]) == 3
     assert main(["study", "--config", str(tmp_path / "missing.json")]) == 3
+
+
+@pytest.mark.parametrize("override", [{"r": "2"}, {"params": {"gamma": 0}}])
+def test_wrongly_typed_or_invalid_config_exits_3_without_traceback(tmp_path, capsys, override):
+    cfg = {"problem_id": "paper-hammerstein", "n_sequence": [4, 8], **override}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["study", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
 
 
 def test_divergence_exit_code(tmp_path, capsys):

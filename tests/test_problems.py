@@ -262,6 +262,24 @@ def test_problem_ids_and_unknowns():
         u.get_problem("linear-green", {"not_a_param": 1.0})
 
 
+@pytest.mark.parametrize("problem_id, params", [
+    ("paper-hammerstein", {"gamma": 0}),
+    ("paper-hammerstein", {"gamma": -1.0}),
+    ("paper-hammerstein", {"gamma": float("nan")}),
+    ("paper-hammerstein", {"gamma": float("inf")}),
+    ("paper-hammerstein", {"gamma": "3.4"}),
+    ("paper-hammerstein", {"gamma": True}),
+    ("linear-green", {"gamma": 0.0}),
+    ("linear-green", {"scale": float("inf")}),
+    ("linear-green", {"scale": float("nan")}),
+    ("linear-green", {"scale": "2"}),
+    ("linear-green", [("scale", 2.0)]),
+])
+def test_bad_problem_parameters_are_config_errors(problem_id, params):
+    with pytest.raises(ConfigError):
+        u.get_problem(problem_id, params)
+
+
 def test_gamma_override_changes_kernel():
     prob = u.get_problem("paper-hammerstein", {"gamma": 2.0})
     base = u.get_problem("paper-hammerstein")

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
+from scipy.integrate import quad
 
 import urysohn as u
+from urysohn.quadrature import SplitOperator
 
 GAMMA = np.sqrt(12.0)
 
@@ -123,13 +126,52 @@ def test_split_rejects_outside_interval():
 def test_panels_never_straddle_split_or_mesh_points():
     mesh = u.make_mesh(4)
     rule = u.gauss_rule(6)
-    for s in (0.0, 0.2, 0.3, 0.25, 1.0):
-        pan = u.split_panels(s, mesh, rule)
-        if pan.t1.size:
-            assert pan.t1.max() <= s
-        if pan.t2.size:
-            assert pan.t2.min() >= s
-        for t, cells in ((pan.t1, pan.cells1), (pan.t2, pan.cells2)):
+    p = rule.p
+    s_points = (0.0, 0.2, 0.3, 0.25, 1.0)
+    op = SplitOperator(mesh, rule, s_points)
+    for i, s in enumerate(s_points):
+        j = op.cells[i]
+        # piece 1 covers cells 0..j-1 and [t_j, s]; piece 2 covers [s, t_{j+1}] and the rest
+        t1 = np.vstack([op.t[:j], op.t_sub[i, None, :p]])
+        t2 = np.vstack([op.t_sub[i, None, p:], op.t[j + 1:]])
+        cells1 = np.append(np.arange(j), j)
+        cells2 = np.append(j, np.arange(j + 1, mesh.n))
+        if t1.size:
+            assert t1.max() <= s
+        if t2.size:
+            assert t2.min() >= s
+        for t, cells in ((t1, cells1), (t2, cells2)):
             for row, cell in zip(t, cells):
                 assert row.min() >= mesh.points[cell] - 1e-15
                 assert row.max() <= mesh.points[cell + 1] + 1e-15
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_batched_K_at_unsorted_points_against_adaptive_quadrature(hammerstein, r):
+    """K(x) for a piecewise polynomial x at an unsorted batch of s, including
+    both ends and exact partition points (zero-width sub-panels), against
+    scipy quad split at s and at the mesh points."""
+    mesh = u.make_mesh(5)
+    h = mesh.h
+    x = u.project(hammerstein.exact, mesh, r)
+    kern = hammerstein.kernel
+    s_points = np.array([0.63, 0.0, mesh.points[2], 1.0, 0.17, mesh.points[4], 0.55, 0.41])
+    got = SplitOperator(mesh, u.gauss_rule(10), s_points).apply(kern.kappa1, kern.kappa2, x)
+
+    def x_on_cell(k, t):
+        tau = 2.0 * (t - mesh.points[k]) / h - 1.0
+        scaled = x.coeffs[k] * np.sqrt(2 * np.arange(r) + 1) / np.sqrt(h)
+        return legval(tau, scaled)
+
+    def oracle(s):
+        total = 0.0
+        for k in range(mesh.n):
+            a, b = mesh.points[k], mesh.points[k + 1]
+            for lo, hi in ([(a, s), (s, b)] if a < s < b else [(a, b)]):
+                piece = kern.kappa1 if hi <= s else kern.kappa2
+                total += quad(lambda t: piece(s, t, x_on_cell(k, t)), lo, hi,
+                              epsabs=1e-13, epsrel=1e-13)[0]
+        return total
+
+    expected = np.array([oracle(s) for s in s_points])
+    assert np.max(np.abs(got - expected)) < 1e-11

@@ -1,10 +1,15 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 from scipy.optimize import fsolve
 
 import urysohn as u
 from urysohn.errors import DivergenceError, MeshMismatchError, SingularLinearizationError
+from urysohn.quadrature import SplitOperator
 
 GAMMA = np.sqrt(12.0)
 
@@ -95,32 +100,44 @@ def test_assembled_matrix_zero_for_zero_kernel(zero_kernel):
     assert np.max(np.abs(mat)) == 0.0
 
 
-def test_assembled_matrix_against_double_quadrature(linear_green):
-    n, r = 2, 1
+def assembled_against_double_quadrature(prob, n, r):
+    """Largest entry gap between the assembled matrix and adaptive double
+    quadrature of every <K'(x) e_col, e_row> on (n, r)."""
     mesh = u.make_mesh(n)
     h = mesh.h
-    kern = linear_green.kernel
-    x = u.project(linear_green.f, mesh, r)
-    mat = u.assemble_linearized(linear_green, x, mesh, r, u.gauss_rule(10))
-    assert mat.shape == (2, 2)
+    kern = prob.kernel
+    x = u.project(prob.f, mesh, r)
+    mat = u.assemble_linearized(prob, x, mesh, r, u.gauss_rule(10))
+    assert mat.shape == (n * r, n * r)
 
-    def entry(j, k):
+    def basis(q, cell, t):
+        # degree-q orthonormal Legendre polynomial on the cell, over sqrt(h)
+        tau = 2.0 * (t - mesh.points[cell]) / h - 1.0
+        return np.sqrt(2 * q + 1) * legval(tau, [0.0] * q + [1.0]) / np.sqrt(h)
+
+    def entry(j, qj, k, qk):
         def inner(s):
             a, b = mesh.points[k], mesh.points[k + 1]
             segs = [(a, b)] if not (a < s < b) else [(a, s), (s, b)]
             total = 0.0
             for lo, hi in segs:
                 piece = kern.du_kappa1 if hi <= s else kern.du_kappa2
-                total += quad(lambda t: piece(s, t, x(t)) / np.sqrt(h), lo, hi,
+                total += quad(lambda t: piece(s, t, x(t)) * basis(qk, k, t), lo, hi,
                               epsabs=1e-13, epsrel=1e-13)[0]
             return total
 
         a, b = mesh.points[j], mesh.points[j + 1]
-        return quad(lambda s: inner(s) / np.sqrt(h), a, b, epsabs=1e-12, epsrel=1e-12,
+        return quad(lambda s: inner(s) * basis(qj, j, s), a, b, epsabs=1e-12, epsrel=1e-12,
                     limit=200)[0]
 
-    oracle = np.array([[entry(j, k) for k in range(n)] for j in range(n)])
-    assert np.max(np.abs(mat - oracle)) < 1e-10
+    oracle = np.array([[entry(j, qj, k, qk) for k in range(n) for qk in range(r)]
+                       for j in range(n) for qj in range(r)])
+    return np.max(np.abs(mat - oracle))
+
+
+def test_assembled_matrix_against_double_quadrature(linear_green):
+    for n, r in ((2, 1), (3, 2)):
+        assert assembled_against_double_quadrature(linear_green, n, r) < 1e-10, (n, r)
 
 
 def test_assembled_matrix_symmetric_for_constant_state(hammerstein):
@@ -129,6 +146,23 @@ def test_assembled_matrix_symmetric_for_constant_state(hammerstein):
     x = u.PiecewisePoly(mesh, 1, np.full((5, 1), 0.8 * np.sqrt(mesh.h)))
     mat = u.assemble_linearized(hammerstein, x, mesh, 1, u.gauss_rule(10))
     assert np.max(np.abs(mat - mat.T)) < 1e-10
+
+
+def test_picard_apply_memory_is_flat_in_the_point_count(hammerstein):
+    # one block of (points in a cell, n, p) at a time: O(n p^2), not O(S n p)
+    mesh = u.make_mesh(320)
+    rule = u.gauss_rule(10)
+    x = u.project(hammerstein.exact, mesh, 1)
+    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    kern = hammerstein.kernel
+    tracemalloc.start()
+    try:
+        vals = SplitOperator(mesh, rule, nodes).apply(kern.kappa1, kern.kappa2, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(vals))
+    assert peak < 8e6
 
 
 # --- iterated solution -----------------------------------------------------------
@@ -249,6 +283,28 @@ def test_singular_linearization_detected():
         u.solve_galerkin(prob, u.make_mesh(4), 1, u.SolveOptions(method="newton", max_iter=10))
     with pytest.raises(DivergenceError):
         u.solve_galerkin(prob, u.make_mesh(4), 1, u.SolveOptions(method="picard", max_iter=30))
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+@pytest.mark.parametrize("scheme", ["galerkin", "paper-discrete"])
+def test_non_finite_update_stops_at_once(method, scheme):
+    def nan_kernel(s, t, uu):
+        return np.full(np.broadcast(s, t, uu).shape, np.nan)
+
+    kern = u.GreenKernel(kappa1=nan_kernel, kappa2=nan_kernel,
+                         du_kappa1=nan_kernel, du_kappa2=nan_kernel)
+    prob = u.UrysohnProblem(kern, f=lambda s: np.sin(np.pi * s) + 1.0)
+    opts = u.SolveOptions(method=method, max_iter=50)
+    with pytest.raises(DivergenceError, match="non-finite update") as info:
+        if scheme == "galerkin":
+            u.solve_galerkin(prob, u.make_mesh(4), 1, opts)
+        else:
+            u.solve_paper_discrete(prob, u.make_mesh(4), opts)
+    err = info.value
+    iteration = re.search(r"iteration (\d+)", str(err))
+    assert iteration and int(iteration.group(1)) < opts.max_iter
+    assert not np.isfinite(err.update_norm)
+    assert np.all(np.isfinite(err.last_iterate.coeffs))
 
 
 def test_solve_options_validation():

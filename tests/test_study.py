@@ -86,6 +86,19 @@ def test_config_rejects_bad_fields():
         small_study(tol=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("r", "2"), ("r", True), ("r", 1.5),
+    ("max_iter", "50"), ("max_iter", False),
+    ("quad_points", 10.0), ("quad_points", "10"),
+    ("n_sequence", ("8", "16")), ("n_sequence", (8.0, 16.0)), ("n_sequence", "8,16"),
+    ("n_sequence", 8),
+    ("tol", "1e-12"), ("tol", True), ("tol", None),
+])
+def test_config_rejects_wrongly_typed_fields(field, value):
+    with pytest.raises(ConfigError):
+        small_study(**{field: value})
+
+
 def test_config_from_dict_matches_field_names():
     data = {
         "problem_id": "zero-kernel",
