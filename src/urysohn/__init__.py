@@ -11,11 +11,9 @@ from .errors import (
 )
 from .quadrature import GaussRule, gauss_rule, integrate_cell, integrate_split
 from .piecewise import (
-    LocalBasis,
     PiecewisePoly,
     UniformMesh,
     basis_table,
-    eval_basis,
     make_mesh,
     project,
 )

@@ -18,7 +18,8 @@ from .piecewise import make_mesh
 from .problems import get_problem
 from .quadrature import gauss_rule
 from .solver import SolveOptions, iterated_at_partition, solve_galerkin, solve_paper_discrete
-from .study import OUTPUT_FORMATS, StudyConfig, emit_report, render_report, run_study
+from .study import (OUTPUT_FORMATS, StudyConfig, _render_columns, emit_report, render_report,
+                    run_study)
 
 __all__ = ["build_parser", "main"]
 
@@ -110,13 +111,10 @@ def _run_solve(args) -> int:
     discrete_mode = args.discrete_mode or "full"
     if discrete_mode == "paper-discrete" and r != 1:
         raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
+    given = {key: getattr(args, key) for key in ("method", "tol", "max_iter", "quad_points")
+             if getattr(args, key) is not None}
     try:
-        opts = SolveOptions(
-            method=args.method or "picard",
-            tol=args.tol if args.tol is not None else 1e-12,
-            max_iter=args.max_iter if args.max_iter is not None else 200,
-            quad_points=args.quad_points if args.quad_points is not None else 10,
-        )
+        opts = SolveOptions(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     prob = get_problem(args.problem, rhs_mode=args.rhs_mode or "manufactured")
@@ -127,12 +125,11 @@ def _run_solve(args) -> int:
         sol = solve_galerkin(prob, mesh, r, opts)
     pv = iterated_at_partition(prob, sol, gauss_rule(opts.quad_points))
 
-    rows = {"t": mesh.points, "x_s": pv.values}
+    cols = [("t", mesh.points), ("x_s", pv.values)]
     if prob.exact is not None:
         exact = np.asarray(prob.exact(mesh.points), dtype=float)
-        rows["exact"] = exact
-        rows["error"] = np.abs(exact - pv.values)
-    text = _solve_table(rows, args.output_format or "csv")
+        cols += [("exact", exact), ("error", np.abs(exact - pv.values))]
+    text = _render_columns(cols, args.output_format or "csv")
     if args.output_path:
         with open(args.output_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
@@ -141,23 +138,6 @@ def _run_solve(args) -> int:
     else:
         sys.stdout.write(text)
     return 0
-
-
-def _solve_table(rows: dict, output_format: str) -> str:
-    names = list(rows)
-    count = len(next(iter(rows.values())))
-    if output_format == "json":
-        return json.dumps({name: [float(v) for v in vals] for name, vals in rows.items()},
-                          indent=2) + "\n"
-    if output_format == "md":
-        lines = ["| " + " | ".join(names) + " |", "|" + "|".join("---" for _ in names) + "|"]
-        for i in range(count):
-            lines.append("| " + " | ".join(f"{rows[name][i]:.6e}" for name in names) + " |")
-        return "\n".join(lines) + "\n"
-    lines = [",".join(names)]
-    for i in range(count):
-        lines.append(",".join(repr(float(rows[name][i])) for name in names))
-    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:

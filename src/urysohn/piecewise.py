@@ -15,14 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GaussRule, gauss_rule
+from .quadrature import GaussRule, _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
     "make_mesh",
-    "eval_basis",
     "basis_table",
-    "LocalBasis",
     "PiecewisePoly",
     "project",
 ]
@@ -65,27 +63,6 @@ def make_mesh(n: int) -> UniformMesh:
     return UniformMesh(n=n, h=1.0 / n, points=points)
 
 
-def _legendre(q: int, x: np.ndarray) -> np.ndarray:
-    """Legendre polynomial P_q on [-1, 1] by the three-term recurrence."""
-    if q == 0:
-        return np.ones_like(x)
-    p_km1, p_k = np.ones_like(x), x
-    for k in range(2, q + 1):
-        p_km1, p_k = p_k, ((2 * k - 1) * x * p_k - (k - 1) * p_km1) / k
-    return p_k
-
-
-def eval_basis(q: int, tau):
-    """Value of the degree-q L2[0, 1]-orthonormal Legendre polynomial."""
-    if q < 0:
-        raise ValueError(f"degree must be nonnegative, got {q}")
-    tau = np.asarray(tau, dtype=float)
-    if np.any((tau < 0.0) | (tau > 1.0)):
-        raise ValueError("basis argument outside [0, 1]")
-    out = math.sqrt(2 * q + 1) * _legendre(q, 2.0 * tau - 1.0)
-    return float(out) if tau.ndim == 0 else out
-
-
 def basis_table(r: int, tau: np.ndarray) -> np.ndarray:
     """Values of the first r orthonormal basis polynomials, shape tau.shape + (r,)."""
     tau = np.asarray(tau, dtype=float)
@@ -99,25 +76,6 @@ def basis_table(r: int, tau: np.ndarray) -> np.ndarray:
         p_km1, p_k = p_k, ((2 * k - 1) * x * p_k - (k - 1) * p_km1) / k
         out[..., k] = math.sqrt(2 * k + 1) * p_k
     return out
-
-
-@dataclass(frozen=True)
-class LocalBasis:
-    """The first r orthonormal Legendre polynomials on [0, 1] (deg e_q = q)."""
-
-    r: int
-
-    def __post_init__(self):
-        if self.r < 1:
-            raise ValueError(f"basis size must be positive, got {self.r}")
-
-    def eval(self, q: int, tau):
-        if not 0 <= q < self.r:
-            raise ValueError(f"degree {q} outside [0, {self.r - 1}]")
-        return eval_basis(q, tau)
-
-    def table(self, tau) -> np.ndarray:
-        return basis_table(self.r, np.asarray(tau, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -181,7 +139,7 @@ def project(f, mesh: UniformMesh, r: int, quad: GaussRule | None = None) -> Piec
         raise ValueError(f"polynomial order must be positive, got {r}")
     rule = quad if quad is not None else gauss_rule(max(r, 10))
     t = mesh.points[:-1, None] + mesh.h * rule.nodes
-    fvals = np.broadcast_to(np.asarray(f(t), dtype=float), t.shape)
+    fvals = _sampled(f, t)
     table = basis_table(r, rule.nodes)  # (p, r)
     coeffs = math.sqrt(mesh.h) * ((fvals * rule.weights) @ table)
     return PiecewisePoly(mesh=mesh, r=r, coeffs=coeffs)

@@ -3,8 +3,9 @@
 A kernel kappa(s, t, u) is given by two pieces that agree on the diagonal
 t = s but whose s/t derivatives may jump there, so every integral is taken
 with panels split at the diagonal.  The module provides the integral
-operator, its first two u-derivatives, residual evaluation, manufactured
-right-hand sides, and a small registry of built-in benchmark problems.
+operator, its first two u-derivatives, residual evaluation and
+manufactured right-hand sides, each at a scalar or an array of points s in
+one batched call, and a small registry of built-in benchmark problems.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigError, MissingDerivativeError
 from .piecewise import UniformMesh, make_mesh
-from .quadrature import GaussRule, SplitOperator, gauss_rule
+from .quadrature import GaussRule, SplitOperator, _sampled, gauss_rule
 
 __all__ = [
     "GreenKernel",
@@ -37,8 +38,8 @@ __all__ = [
 
 # Fixed internals for manufactured right-hand sides; fine enough that their
 # quadrature error sits far below anything the solvers can resolve.
-_RHS_MESH = None  # built lazily to avoid import-order games
-_RHS_RULE = None
+_RHS_MESH = make_mesh(8)
+_RHS_RULE = gauss_rule(16)
 
 
 @dataclass(frozen=True)
@@ -95,85 +96,63 @@ def kernel_eval(kernel: GreenKernel, s, t, u):
     """
     _check_unit("s", s)
     _check_unit("t", t)
+    out = _two_piece(kernel.kappa1, kernel.kappa2, s, t, u)
+    return float(out) if out.ndim == 0 else out
+
+
+def _two_piece(fn1, fn2, s, t, u) -> np.ndarray:
+    """fn1(s, t, u) where t <= s and fn2 elsewhere, on the broadcast shape;
+    each piece sees only the points of its own triangle."""
     s_arr, t_arr, u_arr = np.broadcast_arrays(
         np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(u, dtype=float)
     )
     lower = t_arr <= s_arr
     out = np.empty(s_arr.shape)
     if np.any(lower):
-        out[lower] = kernel.kappa1(s_arr[lower], t_arr[lower], u_arr[lower])
+        out[lower] = fn1(s_arr[lower], t_arr[lower], u_arr[lower])
     if not np.all(lower):
         upper = ~lower
-        out[upper] = kernel.kappa2(s_arr[upper], t_arr[upper], u_arr[upper])
+        out[upper] = fn2(s_arr[upper], t_arr[upper], u_arr[upper])
+    return out
+
+
+def _like(s, values):
+    """values at the points s: a float for a scalar s, else shaped like s."""
+    out = np.reshape(values, np.shape(s))
     return float(out) if out.ndim == 0 else out
 
 
-def _sampled(x, t: np.ndarray) -> np.ndarray:
-    return np.broadcast_to(np.asarray(x(t), dtype=float), t.shape)
-
-
-def _apply_at(fn1, fn2, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
-    """One-point split integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1]."""
-    return float(SplitOperator(mesh, rule, float(s)).apply(fn1, fn2, x)[0])
-
-
-def apply_K(prob: UrysohnProblem, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
     """The integral operator: integral_0^1 kappa(s, t, x(t)) dt."""
     k = prob.kernel
-    return _apply_at(k.kappa1, k.kappa2, x, s, rule, mesh)
+    return _like(s, SplitOperator(mesh, rule, s).apply(k.kappa1, k.kappa2, x))
 
 
-def apply_Kprime(prob: UrysohnProblem, x, v, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+def apply_Kprime(prob: UrysohnProblem, x, v, s, rule: GaussRule, mesh: UniformMesh):
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
     k = prob.kernel
     k.require_first_derivative()
-
-    def fn1(sv, t, xv):
-        return k.du_kappa1(sv, t, xv) * _sampled(v, t)
-
-    def fn2(sv, t, xv):
-        return k.du_kappa2(sv, t, xv) * _sampled(v, t)
-
-    return _apply_at(fn1, fn2, x, s, rule, mesh)
+    return _like(s, SplitOperator(mesh, rule, s).apply(
+        lambda sv, t, xv: k.du_kappa1(sv, t, xv) * _sampled(v, t),
+        lambda sv, t, xv: k.du_kappa2(sv, t, xv) * _sampled(v, t), x))
 
 
-def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s, rule: GaussRule, mesh: UniformMesh):
     """Second derivative at x applied to (v1, v2):
     integral of d^2 kappa/du^2 (s, t, x(t)) v1(t) v2(t) dt."""
     k = prob.kernel
     k.require_second_derivative()
-
-    def fn1(sv, t, xv):
-        return k.du2_kappa1(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t)
-
-    def fn2(sv, t, xv):
-        return k.du2_kappa2(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t)
-
-    return _apply_at(fn1, fn2, x, s, rule, mesh)
+    return _like(s, SplitOperator(mesh, rule, s).apply(
+        lambda sv, t, xv: k.du2_kappa1(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t),
+        lambda sv, t, xv: k.du2_kappa2(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t), x))
 
 
-def _manufactured(kernel: GreenKernel, phi, s, rule: GaussRule, mesh: UniformMesh):
-    """phi(s) - integral kappa(s, t, phi(t)) dt at a scalar or an array s,
-    with one batched split integral for all points."""
-    arr = np.asarray(s, dtype=float)
-    k_vals = SplitOperator(mesh, rule, arr).apply(kernel.kappa1, kernel.kappa2, phi)
-    out = _sampled(phi, arr) - k_vals.reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
-
-
-def manufactured_f(kernel: GreenKernel, phi, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+def manufactured_f(kernel: GreenKernel, phi, s, rule: GaussRule, mesh: UniformMesh):
     """f(s) := phi(s) - integral kappa(s, t, phi(t)) dt, so that phi solves the
     problem exactly up to quadrature error."""
-    return _manufactured(kernel, phi, float(s), rule, mesh)
-
-
-def _rhs_internals():
-    global _RHS_MESH, _RHS_RULE
-    if _RHS_MESH is None:
-        _RHS_MESH = make_mesh(8)
-        _RHS_RULE = gauss_rule(16)
-    return _RHS_MESH, _RHS_RULE
+    k_vals = SplitOperator(mesh, rule, s).apply(kernel.kappa1, kernel.kappa2, phi)
+    return _like(s, _sampled(phi, s) - k_vals.reshape(np.shape(s)))
 
 
 def manufactured_rhs(kernel: GreenKernel, phi) -> Callable:
@@ -185,18 +164,16 @@ def manufactured_rhs(kernel: GreenKernel, phi) -> Callable:
     arrays; an array is evaluated in one batch, each point with its own
     split.
     """
-    mesh, rule = _rhs_internals()
 
     def f(s):
-        return _manufactured(kernel, phi, s, rule, mesh)
+        return manufactured_f(kernel, phi, s, _RHS_RULE, _RHS_MESH)
 
     return f
 
 
-def residual(prob: UrysohnProblem, x, s: float, rule: GaussRule, mesh: UniformMesh) -> float:
+def residual(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
     """x(s) - K(x)(s) - f(s); zero at the exact solution."""
-    xs = float(np.asarray(x(float(s)), dtype=float))
-    return xs - apply_K(prob, x, s, rule, mesh) - float(np.asarray(prob.f(float(s)), dtype=float))
+    return _like(s, _sampled(x, s) - apply_K(prob, x, s, rule, mesh) - _sampled(prob.f, s))
 
 
 # ---------------------------------------------------------------------------

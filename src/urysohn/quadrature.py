@@ -40,9 +40,10 @@ def gauss_rule(p: int) -> GaussRule:
     return GaussRule(p, nodes, weights)
 
 
-def _values(g, t):
-    """Evaluate g at the node array t, broadcasting scalar results."""
-    return np.broadcast_to(np.asarray(g(t), dtype=float), t.shape)
+def _sampled(g, t) -> np.ndarray:
+    """Evaluate g at the points t (a scalar or an array), broadcasting
+    scalar results to the shape of t."""
+    return np.broadcast_to(np.asarray(g(t), dtype=float), np.shape(t))
 
 
 def integrate_cell(g, a: float, b: float, rule: GaussRule) -> float:
@@ -51,7 +52,7 @@ def integrate_cell(g, a: float, b: float, rule: GaussRule) -> float:
         raise ValueError(f"empty interval: a={a} > b={b}")
     width = b - a
     t = a + width * rule.nodes
-    return float(width * np.dot(rule.weights, _values(g, t)))
+    return float(width * np.dot(rule.weights, _sampled(g, t)))
 
 
 class SplitOperator:
@@ -94,7 +95,7 @@ class SplitOperator:
         edge); anything else is called."""
         if getattr(getattr(x, "mesh", None), "n", None) == self.mesh.n:
             return x.eval_on_cells(t, cells)
-        return np.broadcast_to(np.asarray(x(t), dtype=float), t.shape)
+        return _sampled(x, t)
 
     def pieces(self, fn1, fn2, x):
         """Values of fn(s, t, x(t)) on every panel, fn1 left of s and fn2

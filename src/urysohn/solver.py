@@ -16,15 +16,16 @@ raises the order further.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
-from .piecewise import PiecewisePoly, UniformMesh, basis_table, project
-from .quadrature import GaussRule, SplitOperator, gauss_rule
-from .problems import UrysohnProblem, apply_K, kernel_eval
+from .piecewise import PiecewisePoly, UniformMesh, basis_table
+from .quadrature import GaussRule, SplitOperator, _sampled, gauss_rule
+from .problems import UrysohnProblem, _like, _two_piece, apply_K, kernel_eval
 
 __all__ = [
     "SolveOptions",
@@ -42,6 +43,11 @@ METHODS = ("picard", "newton")
 
 INITIAL_GUESSES = ("project-f", "zero")
 
+# A finite update this many times the first one stops the iteration: no
+# converging run of the built-in problems ever took an update above its first.
+_GROWTH_LIMIT = 1e6
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Iteration controls for the Galerkin solve.
@@ -49,7 +55,9 @@ class SolveOptions:
     ``tol`` bounds the sup norm of the coefficient update; ``quad_points``
     sets the Gauss rule used inside the integral operator; ``relax`` is an
     optional damping factor for Picard (1 = undamped).  ``initial_guess``
-    is "project-f", "zero", or a PiecewisePoly on the solve mesh.
+    is "project-f", "zero", or a PiecewisePoly on the solve mesh.  ``tol``
+    and ``relax`` must be numbers and ``max_iter`` and ``quad_points``
+    integers; strings and bools are rejected with ValueError.
     """
 
     method: str = "picard"
@@ -60,6 +68,13 @@ class SolveOptions:
     relax: float = 1.0
 
     def __post_init__(self):
+        for name, kind, what in (("tol", numbers.Real, "a number"),
+                                 ("max_iter", numbers.Integral, "an integer"),
+                                 ("quad_points", numbers.Integral, "an integer"),
+                                 ("relax", numbers.Real, "a number")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
         if not self.tol > 0:
@@ -70,8 +85,10 @@ class SolveOptions:
             raise ValueError("quad_points must be at least 2")
         if not 0.0 < self.relax <= 1.0:
             raise ValueError("relaxation factor must lie in (0, 1]")
-        if isinstance(self.initial_guess, str) and self.initial_guess not in INITIAL_GUESSES:
-            raise ValueError(f"unknown initial guess {self.initial_guess!r}")
+        guess = self.initial_guess
+        named = isinstance(guess, str) and guess in INITIAL_GUESSES
+        if not (named or isinstance(guess, PiecewisePoly)):
+            raise ValueError(f"unknown initial guess {guess!r}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +137,7 @@ def _projection_stencil(mesh: UniformMesh, r: int, rule: GaussRule):
     return nodes, to_coeffs
 
 
-def _initial_coeffs(prob, mesh, r, opts, proj_rule) -> np.ndarray:
+def _initial_coeffs(f_coeffs, mesh, r, opts) -> np.ndarray:
     guess = opts.initial_guess
     if isinstance(guess, PiecewisePoly):
         if guess.mesh.n != mesh.n or guess.r != r:
@@ -128,7 +145,7 @@ def _initial_coeffs(prob, mesh, r, opts, proj_rule) -> np.ndarray:
         return np.array(guess.coeffs)
     if guess == "zero":
         return np.zeros((mesh.n, r))
-    return project(prob.f, mesh, r, proj_rule).coeffs.copy()
+    return f_coeffs.copy()  # the projection of f
 
 
 def _sup_on_rule(poly: PiecewisePoly, rule: GaussRule) -> float:
@@ -147,9 +164,9 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     Picard iterates the fixed point; Newton solves the linearized update
     equation and needs the kernel's first u-derivative pieces.  Raises
     DivergenceError when ``max_iter`` is exhausted or, at once, when an
-    update is not finite, and SingularLinearizationError when the Newton
-    matrix is unusable (a sign that 1 is nearly an eigenvalue of the
-    operator derivative).
+    update is not finite or keeps growing, and SingularLinearizationError
+    when the Newton matrix is unusable (a sign that 1 is nearly an
+    eigenvalue of the operator derivative).
     """
     if r < 1:
         raise ValueError(f"polynomial order must be positive, got {r}")
@@ -160,55 +177,62 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     nodes, to_coeffs = _projection_stencil(mesh, r, outer)
     applier = SplitOperator(mesh, inner, nodes)
 
-    f_at_nodes = np.broadcast_to(np.asarray(prob.f(nodes), dtype=float), nodes.shape)
-    f_coeffs = to_coeffs(f_at_nodes)
+    f_coeffs = to_coeffs(_sampled(prob.f, nodes))
 
-    c = _initial_coeffs(prob, mesh, r, opts, outer)
-
-    def picard_value(coeffs):
+    def value(coeffs):
         x = PiecewisePoly(mesh, r, coeffs)
-        k_vals = applier.apply(kern.kappa1, kern.kappa2, x)
-        return to_coeffs(k_vals) + f_coeffs
+        return to_coeffs(applier.apply(kern.kappa1, kern.kappa2, x)) + f_coeffs
 
-    update = math.inf
-    for iteration in range(1, opts.max_iter + 1):
-        if opts.method == "picard":
-            c_next = picard_value(c)
-            if opts.relax != 1.0:
-                c_next = (1.0 - opts.relax) * c + opts.relax * c_next
-        else:
-            resid = c - picard_value(c)
-            jac = np.eye(mesh.n * r) - assemble_linearized(
-                prob, PiecewisePoly(mesh, r, c), mesh, r, inner
-            )
-            delta = _solve_newton_step(jac, -resid.ravel())
-            c_next = c + delta.reshape(mesh.n, r)
-        update = float(np.max(np.abs(c_next - c)))
-        if not math.isfinite(update):
-            raise _non_finite(iteration, update, PiecewisePoly(mesh, r, c))
-        c = c_next
-        if update <= opts.tol:
-            residual_poly = PiecewisePoly(mesh, r, c - picard_value(c))
-            return GalerkinSolution(
-                x_g=PiecewisePoly(mesh, r, c),
-                iterations=iteration,
-                final_update=update,
-                final_residual=_sup_on_rule(residual_poly, outer),
-            )
+    def jacobian(coeffs):
+        return assemble_linearized(prob, PiecewisePoly(mesh, r, coeffs), mesh, r, inner)
 
-    raise DivergenceError(
-        f"no convergence after {opts.max_iter} iterations (last update {update:.3e})",
-        last_iterate=PiecewisePoly(mesh, r, c),
-        update_norm=update,
+    c0 = _initial_coeffs(f_coeffs, mesh, r, opts)
+    c, iterations, update = _iterate(value, jacobian, c0, opts, 1.0,
+                                     lambda coeffs: PiecewisePoly(mesh, r, coeffs))
+    residual_poly = PiecewisePoly(mesh, r, c - value(c))
+    return GalerkinSolution(
+        x_g=PiecewisePoly(mesh, r, c),
+        iterations=iterations,
+        final_update=update,
+        final_residual=_sup_on_rule(residual_poly, outer),
     )
 
 
-def _non_finite(iteration: int, update: float, last_iterate: PiecewisePoly) -> DivergenceError:
-    """The error for an update that is NaN or infinite; it carries the last
-    finite iterate."""
-    return DivergenceError(
-        f"non-finite update in iteration {iteration} (update {update})",
-        last_iterate=last_iterate,
+def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
+    """The one Picard/Newton loop for the fixed point c = value(c).
+
+    Picard takes c <- value(c), damped by ``opts.relax``; Newton solves
+    (I - jacobian(c)) delta = value(c) - c.  The update is the sup of the
+    change times ``scale``.  Returns ``(c, iterations, update)``; every
+    DivergenceError carries ``as_poly`` of the last iterate it accepted.
+    """
+    c, update, first = c0, math.inf, None
+    for iteration in range(1, opts.max_iter + 1):
+        if opts.method == "picard":
+            c_next = value(c)
+            if opts.relax != 1.0:
+                c_next = (1.0 - opts.relax) * c + opts.relax * c_next
+        else:
+            resid = c - value(c)
+            jac = np.eye(c.size) - jacobian(c)
+            c_next = c + _solve_newton_step(jac, -resid.ravel()).reshape(c.shape)
+        update = scale * float(np.max(np.abs(c_next - c)))
+        if not math.isfinite(update):
+            raise DivergenceError(f"non-finite update in iteration {iteration} (update {update})",
+                                  last_iterate=as_poly(c), update_norm=update)
+        first = update if first is None else first
+        if update > _GROWTH_LIMIT * first:
+            raise DivergenceError(
+                f"update grew to {update:.3e} in iteration {iteration}, more than "
+                f"{_GROWTH_LIMIT:.0e} times the first update {first:.3e}",
+                last_iterate=as_poly(c), update_norm=update,
+            )
+        c = c_next
+        if update <= opts.tol:
+            return c, iteration, update
+    raise DivergenceError(
+        f"no convergence after {opts.max_iter} iterations (last update {update:.3e})",
+        last_iterate=as_poly(c),
         update_norm=update,
     )
 
@@ -261,28 +285,20 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     return mat
 
 
-def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s: float,
-                  rule: GaussRule) -> float:
+def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):
     """The iterated solution x_s(s) = K(x_g)(s) + f(s); continuous in s even
-    though x_g is not."""
+    though x_g is not.  A float for a scalar s, an array shaped like an
+    array s, with one batched operator call for all points."""
     if sol.scheme == "paper-discrete":
-        return float(_iterated_discrete(sol, float(s)))
-    return apply_K(prob, sol.x_g, s, rule, sol.x_g.mesh) + float(
-        np.asarray(prob.f(float(s)), dtype=float)
-    )
+        return _like(s, _iterated_discrete(sol, s))
+    return _like(s, apply_K(prob, sol.x_g, s, rule, sol.x_g.mesh) + _sampled(prob.f, s))
 
 
 def iterated_at_partition(prob: UrysohnProblem, sol: GalerkinSolution,
                           rule: GaussRule) -> PartitionValues:
     """x_s sampled at every partition point of the solve mesh."""
     mesh = sol.x_g.mesh
-    if sol.scheme == "paper-discrete":
-        values = _iterated_discrete(sol, mesh.points)
-        return PartitionValues(mesh, values)
-    kern = prob.kernel
-    k_vals = SplitOperator(mesh, rule, mesh.points).apply(kern.kappa1, kern.kappa2, sol.x_g)
-    f_vals = np.broadcast_to(np.asarray(prob.f(mesh.points), dtype=float), mesh.points.shape)
-    return PartitionValues(mesh, k_vals + f_vals)
+    return PartitionValues(mesh, iterated_eval(prob, sol, mesh.points, rule))
 
 
 def richardson(coarse: PartitionValues, fine: PartitionValues, r: int) -> PartitionValues:
@@ -304,10 +320,6 @@ def richardson(coarse: PartitionValues, fine: PartitionValues, r: int) -> Partit
 # Midpoint compatibility scheme ("paper-discrete")
 
 
-def _midpoints(mesh: UniformMesh) -> np.ndarray:
-    return mesh.points[:-1] + 0.5 * mesh.h
-
-
 def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
                          opts: Optional[SolveOptions] = None) -> GalerkinSolution:
     """Piecewise-constant solve with every integral replaced by the one-point
@@ -318,9 +330,9 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     full-quadrature solve is preferred whenever quadrature error matters.
     """
     opts = opts if opts is not None else SolveOptions()
-    n, h = mesh.n, mesh.h
-    mids = _midpoints(mesh)
-    f_mid = np.broadcast_to(np.asarray(prob.f(mids), dtype=float), mids.shape)
+    kern, n, h = prob.kernel, mesh.n, mesh.h
+    mids = mesh.points[:-1] + 0.5 * h
+    f_mid = _sampled(prob.f, mids)
     s_grid, t_grid = np.meshgrid(mids, mids, indexing="ij")
 
     guess = opts.initial_guess
@@ -333,46 +345,26 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     else:
         x = f_mid.copy()
 
-    def step_value(xv):
-        u = np.broadcast_to(xv, (n, n))
-        k_mat = kernel_eval(prob.kernel, s_grid, t_grid, u)
+    def value(xv):
+        k_mat = kernel_eval(kern, s_grid, t_grid, xv)  # xv[j] at t_j in every row
         return h * k_mat.sum(axis=1) + f_mid
 
-    sqrt_h = math.sqrt(h)
-    update = math.inf
-    for iteration in range(1, opts.max_iter + 1):
-        if opts.method == "picard":
-            x_next = step_value(x)
-            if opts.relax != 1.0:
-                x_next = (1.0 - opts.relax) * x + opts.relax * x_next
-        else:
-            prob.kernel.require_first_derivative()
-            u = np.broadcast_to(x, (n, n))
-            lower = t_grid <= s_grid
-            l_mat = np.empty((n, n))
-            l_mat[lower] = prob.kernel.du_kappa1(s_grid[lower], t_grid[lower], u[lower])
-            l_mat[~lower] = prob.kernel.du_kappa2(s_grid[~lower], t_grid[~lower], u[~lower])
-            jac = np.eye(n) - h * l_mat
-            delta = _solve_newton_step(jac, -(x - step_value(x)))
-            x_next = x + delta
-        update = sqrt_h * float(np.max(np.abs(x_next - x)))  # coefficient scale
-        if not math.isfinite(update):
-            raise _non_finite(iteration, update, PiecewisePoly(mesh, 1, sqrt_h * x[:, None]))
-        x = x_next
-        if update <= opts.tol:
-            resid = float(np.max(np.abs(x - step_value(x))))
-            return GalerkinSolution(
-                x_g=PiecewisePoly(mesh, 1, sqrt_h * x[:, None]),
-                iterations=iteration,
-                final_update=update,
-                final_residual=resid,
-                scheme="paper-discrete",
-            )
+    def jacobian(xv):
+        kern.require_first_derivative()
+        return h * _two_piece(kern.du_kappa1, kern.du_kappa2, s_grid, t_grid, xv)
 
-    raise DivergenceError(
-        f"no convergence after {opts.max_iter} iterations (last update {update:.3e})",
-        last_iterate=PiecewisePoly(mesh, 1, sqrt_h * x[:, None]),
-        update_norm=update,
+    sqrt_h = math.sqrt(h)  # the update is measured on the coefficient scale
+
+    def as_poly(xv):
+        return PiecewisePoly(mesh, 1, sqrt_h * xv[:, None])
+
+    x, iterations, update = _iterate(value, jacobian, x, opts, sqrt_h, as_poly)
+    return GalerkinSolution(
+        x_g=as_poly(x),
+        iterations=iterations,
+        final_update=update,
+        final_residual=float(np.max(np.abs(x - value(x)))),
+        scheme="paper-discrete",
     )
 
 

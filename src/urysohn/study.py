@@ -63,7 +63,8 @@ class StudyConfig:
     ``n_sequence`` must be strictly doubling so partition points nest.
     ``r``, ``max_iter``, ``quad_points`` and the ``n_sequence`` entries must
     be integers and ``tol`` a number; strings and bools are rejected, not
-    coerced.  JSON config files use exactly these field names.
+    coerced (the solver fields by the SolveOptions built here).  JSON
+    config files use exactly these field names.
     """
 
     problem_id: str
@@ -84,10 +85,6 @@ class StudyConfig:
             raise ConfigError(f"n_sequence must be a list of integers, got {self.n_sequence!r}")
         self.n_sequence = tuple(_integer("n_sequence entry", n) for n in self.n_sequence)
         self.r = _integer("r", self.r)
-        self.max_iter = _integer("max_iter", self.max_iter)
-        self.quad_points = _integer("quad_points", self.quad_points)
-        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
-            raise ConfigError(f"tol must be a number, got {self.tol!r}")
         if len(self.n_sequence) < 2:
             raise ConfigError("n_sequence needs at least two levels")
         for a, b in zip(self.n_sequence, self.n_sequence[1:]):
@@ -108,6 +105,7 @@ class StudyConfig:
                          quad_points=self.quad_points)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -306,12 +304,30 @@ def _fmt_order(x: float) -> str:
     return "-" if np.isnan(x) else f"{x:.2f}"
 
 
-def _render_csv(report: ConvergenceReport) -> str:
-    cols = report.columns()
+def _csv_table(cols) -> str:
     lines = [",".join(name for name, _ in cols)]
-    for i in range(report.points.size):
+    for i in range(len(cols[0][1])):
         lines.append(",".join(_fmt_full(values[i]) for _, values in cols))
     return "\n".join(lines) + "\n"
+
+
+def _md_table(cols, fmt) -> list:
+    """Header, rule and one row per sample; ``fmt(name, value)`` formats a cell."""
+    names = [name for name, _ in cols]
+    lines = ["| " + " | ".join(names) + " |", "|" + "|".join("---" for _ in names) + "|"]
+    for i in range(len(cols[0][1])):
+        lines.append("| " + " | ".join(fmt(name, values[i]) for name, values in cols) + " |")
+    return lines
+
+
+def _render_columns(cols, output_format: str) -> str:
+    """A bare table of named sample columns (the ``solve`` output): csv and
+    json at full precision, md at seven significant digits."""
+    if output_format == "json":
+        return json.dumps({name: [float(v) for v in vals] for name, vals in cols}, indent=2) + "\n"
+    if output_format == "md":
+        return "\n".join(_md_table(cols, lambda _name, v: f"{v:.6e}")) + "\n"
+    return _csv_table(cols)
 
 
 def _render_json(report: ConvergenceReport) -> str:
@@ -328,28 +344,22 @@ def _render_json(report: ConvergenceReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _md_cell(name: str, v: float) -> str:
+    if name == "t_i":
+        return f"{v:.2f}"
+    if name.startswith(("alpha", "beta")):
+        return _fmt_order(v)
+    return _fmt_sci(v)
+
+
 def _render_md(report: ConvergenceReport) -> str:
-    cols = report.columns()
     cfg = report.meta["config"]
     head = [
         f"# Convergence study: {cfg['problem_id']} (r={cfg['r']}, "
         f"n={','.join(str(n) for n in cfg['n_sequence'])})",
         "",
     ]
-    names = [name for name, _ in cols]
-    head.append("| " + " | ".join(names) + " |")
-    head.append("|" + "|".join("---" for _ in names) + "|")
-    for i in range(report.points.size):
-        row = []
-        for name, values in cols:
-            v = values[i]
-            if name == "t_i":
-                row.append(f"{v:.2f}")
-            elif name.startswith(("alpha", "beta")):
-                row.append(_fmt_order(v))
-            else:
-                row.append(_fmt_sci(v))
-        head.append("| " + " | ".join(row) + " |")
+    head += _md_table(report.columns(), _md_cell)
     if report.zeta_stabilization:
         head.append("")
         stab = ", ".join(
@@ -359,7 +369,8 @@ def _render_md(report: ConvergenceReport) -> str:
     return "\n".join(head) + "\n"
 
 
-_RENDERERS = {"csv": _render_csv, "json": _render_json, "md": _render_md}
+_RENDERERS = {"csv": lambda report: _csv_table(report.columns()),
+              "json": _render_json, "md": _render_md}
 
 
 def render_report(report: ConvergenceReport, output_format: str) -> str:

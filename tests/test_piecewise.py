@@ -65,19 +65,12 @@ def test_cell_of_left_convention():
 
 def test_basis_constant_is_one():
     for tau in (0.0, 0.3, 1.0):
-        assert u.eval_basis(0, tau) == pytest.approx(1.0)
+        assert u.basis_table(1, tau)[0] == pytest.approx(1.0)
 
 
 def test_basis_linear_values():
-    assert u.eval_basis(1, 0.5) == pytest.approx(0.0, abs=1e-15)
-    assert u.eval_basis(1, 1.0) == pytest.approx(np.sqrt(3.0))
-
-
-def test_basis_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        u.eval_basis(-1, 0.5)
-    with pytest.raises(ValueError):
-        u.eval_basis(2, 1.5)
+    assert u.basis_table(2, 0.5)[1] == pytest.approx(0.0, abs=1e-15)
+    assert u.basis_table(2, 1.0)[1] == pytest.approx(np.sqrt(3.0))
 
 
 def test_basis_orthonormal_under_exact_rule():
@@ -90,20 +83,13 @@ def test_basis_orthonormal_under_exact_rule():
 
 def test_basis_degree_matches_index():
     tau = np.linspace(0, 1, 41)
+    table = u.basis_table(6, tau)
     for q in range(6):
-        vals = u.eval_basis(q, tau)
+        vals = table[:, q]
         coeffs = np.polyfit(tau, vals, q) if q > 0 else np.array([vals.mean()])
         fit = np.polyval(coeffs, tau)
         assert np.max(np.abs(fit - vals)) < 1e-8, f"e_{q} is not a degree-{q} polynomial"
         assert abs(coeffs[0]) > 1e-8, f"e_{q} has vanishing leading coefficient"
-
-
-def test_local_basis_bounds():
-    basis = u.LocalBasis(3)
-    assert basis.eval(2, 0.5) == pytest.approx(u.eval_basis(2, 0.5))
-    with pytest.raises(ValueError):
-        basis.eval(3, 0.5)
-    assert basis.table(np.array([0.1, 0.9])).shape == (2, 3)
 
 
 # --- piecewise polynomials ---------------------------------------------------

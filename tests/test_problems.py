@@ -125,6 +125,29 @@ def test_apply_K_matches_adaptive_quadrature(hammerstein, linear_green, rule16):
             assert mine == pytest.approx(oracle, abs=1e-11)
 
 
+def test_operator_calls_take_scalar_or_array(hammerstein, rule16):
+    # one batched call at an array s equals the scalar calls point by point;
+    # a scalar s gives a plain float
+    mesh = u.make_mesh(5)
+    sol = u.solve_galerkin(hammerstein, mesh, 2)
+    x, v, w = sol.x_g, np.cos, (lambda t: 1.0 + t)
+    calls = {
+        "apply_K": lambda s: u.apply_K(hammerstein, x, s, rule16, mesh),
+        "apply_Kprime": lambda s: u.apply_Kprime(hammerstein, x, v, s, rule16, mesh),
+        "apply_Ksecond": lambda s: u.apply_Ksecond(hammerstein, x, v, w, s, rule16, mesh),
+        "manufactured_f": lambda s: u.manufactured_f(hammerstein.kernel, w, s, rule16, mesh),
+        "residual": lambda s: u.residual(hammerstein, x, s, rule16, mesh),
+        "iterated_eval": lambda s: u.iterated_eval(hammerstein, sol, s, rule16),
+    }
+    grid = np.array([[0.9, 0.0, 0.4], [1.0, 0.4, 0.13]])  # unsorted, with ends and a t_i
+    for name, call in calls.items():
+        batched = call(grid)
+        assert batched.shape == grid.shape, name
+        singles = [call(float(s)) for s in grid.ravel()]
+        assert all(type(value) is float for value in singles), name
+        np.testing.assert_allclose(batched.ravel(), singles, rtol=0, atol=1e-14, err_msg=name)
+
+
 def test_exact_solution_satisfies_equation(hammerstein, rule16):
     mesh = u.make_mesh(8)
     phi = hammerstein.exact

@@ -307,6 +307,24 @@ def test_non_finite_update_stops_at_once(method, scheme):
     assert np.all(np.isfinite(err.last_iterate.coeffs))
 
 
+@pytest.mark.parametrize("scheme", ["galerkin", "paper-discrete"])
+def test_growing_updates_stop_early(scheme):
+    # scale=60 puts the contraction factor near 2.6: Picard's updates grow
+    # geometrically and must stop long before max_iter
+    prob = u.get_problem("linear-green", {"scale": 60.0})
+    opts = u.SolveOptions(method="picard", max_iter=200)
+    with pytest.raises(DivergenceError, match="update grew") as info:
+        if scheme == "galerkin":
+            u.solve_galerkin(prob, u.make_mesh(4), 1, opts)
+        else:
+            u.solve_paper_discrete(prob, u.make_mesh(4), opts)
+    err = info.value
+    iteration = re.search(r"iteration (\d+)", str(err))
+    assert iteration and int(iteration.group(1)) <= 20
+    assert 1e6 < err.update_norm < 1e8
+    assert np.all(np.isfinite(err.last_iterate.coeffs))
+
+
 def test_solve_options_validation():
     with pytest.raises(ValueError):
         u.SolveOptions(method="bisection")
@@ -320,6 +338,17 @@ def test_solve_options_validation():
         u.SolveOptions(relax=0.0)
     with pytest.raises(ValueError):
         u.SolveOptions(initial_guess="guess")
+    with pytest.raises(ValueError):
+        u.SolveOptions(initial_guess=5)  # neither a known name nor a PiecewisePoly
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iter", 2.5), ("max_iter", "50"), ("quad_points", True), ("quad_points", 10.0),
+    ("tol", "1e-3"), ("tol", None), ("relax", "0.5"),
+])
+def test_solve_options_reject_wrong_types(field, value):
+    with pytest.raises(ValueError, match=field):
+        u.SolveOptions(**{field: value})
 
 
 def test_relaxed_picard_converges_to_same_solution(hammerstein):

@@ -99,6 +99,12 @@ def test_config_rejects_wrongly_typed_fields(field, value):
         small_study(**{field: value})
 
 
+def test_config_keeps_numpy_integers_as_plain_ints():
+    config = small_study(max_iter=np.int64(50), quad_points=np.int64(10))
+    assert type(config.max_iter) is int and type(config.quad_points) is int
+    json.dumps(config.to_dict())
+
+
 def test_config_from_dict_matches_field_names():
     data = {
         "problem_id": "zero-kernel",
