@@ -8,18 +8,16 @@ Exit codes: 0 success, 2 solver divergence, 3 configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
-from .piecewise import make_mesh
 from .problems import get_problem
-from .quadrature import gauss_rule
-from .solver import SolveOptions, iterated_at_partition, solve_galerkin, solve_paper_discrete
-from .study import (OUTPUT_FORMATS, StudyConfig, _render_columns, emit_report, render_report,
-                    run_study)
+from .study import (DISCRETE_MODES, OUTPUT_FORMATS, StudyConfig, _level_options, _render_columns,
+                    _solve_level, emit_report, render_report, run_study)
 
 __all__ = ["build_parser", "main"]
 
@@ -43,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--problem", help="built-in problem identifier")
+        p.add_argument("--problem", dest="problem_id", help="built-in problem identifier")
         p.add_argument("--r", type=int, help="polynomial order (degree < r per cell)")
         p.add_argument("--method", choices=("picard", "newton"))
         p.add_argument("--tol", type=float, help="coefficient-update stopping tolerance")
@@ -51,7 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quad-points", type=int, dest="quad_points",
                        help="Gauss points per panel in the integral operator")
         p.add_argument("--rhs", choices=("manufactured", "paper"), dest="rhs_mode")
-        p.add_argument("--mode", choices=("full", "paper-discrete"), dest="discrete_mode")
+        p.add_argument("--mode", choices=DISCRETE_MODES, dest="discrete_mode")
         p.add_argument("--format", choices=OUTPUT_FORMATS, dest="output_format")
         p.add_argument("--out", dest="output_path", help="report file (stdout when omitted)")
 
@@ -79,11 +77,10 @@ def _study_config(args) -> StudyConfig:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    for key in ("problem_id", "r", "n_sequence", "method", "tol", "max_iter",
-                "quad_points", "rhs_mode", "discrete_mode", "output_path", "output_format"):
-        value = getattr(args, "problem" if key == "problem_id" else key, None)
+    for f in dataclasses.fields(StudyConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            data[key] = value
+            data[f.name] = value
     return StudyConfig.from_dict(data)
 
 
@@ -103,27 +100,18 @@ def _run_study(args) -> int:
 
 
 def _run_solve(args) -> int:
-    if not args.problem:
+    if not args.problem_id:
         raise ConfigError("solve needs --problem")
-    if not args.n:
+    if args.n is None:
         raise ConfigError("solve needs --n")
     r = args.r if args.r is not None else 1
     discrete_mode = args.discrete_mode or "full"
-    if discrete_mode == "paper-discrete" and r != 1:
-        raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
     given = {key: getattr(args, key) for key in ("method", "tol", "max_iter", "quad_points")
              if getattr(args, key) is not None}
-    try:
-        opts = SolveOptions(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    prob = get_problem(args.problem, rhs_mode=args.rhs_mode or "manufactured")
-    mesh = make_mesh(args.n)
-    if discrete_mode == "paper-discrete":
-        sol = solve_paper_discrete(prob, mesh, opts)
-    else:
-        sol = solve_galerkin(prob, mesh, r, opts)
-    pv = iterated_at_partition(prob, sol, gauss_rule(opts.quad_points))
+    opts = _level_options(args.n, r, discrete_mode, **given)
+    prob = get_problem(args.problem_id, rhs_mode=args.rhs_mode or "manufactured")
+    sol, pv = _solve_level(prob, args.n, r, opts, discrete_mode)
+    mesh = pv.mesh
 
     cols = [("t", mesh.points), ("x_s", pv.values)]
     if prob.exact is not None:

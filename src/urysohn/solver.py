@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, basis_table
-from .quadrature import GaussRule, SplitOperator, _sampled, gauss_rule
+from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
 from .problems import UrysohnProblem, _like, _two_piece, apply_K, kernel_eval
 
 __all__ = [
@@ -41,8 +41,6 @@ __all__ = [
 
 METHODS = ("picard", "newton")
 
-INITIAL_GUESSES = ("project-f", "zero")
-
 # A finite update this many times the first one stops the iteration: no
 # converging run of the built-in problems ever took an update above its first.
 _GROWTH_LIMIT = 1e6
@@ -53,25 +51,21 @@ class SolveOptions:
     """Iteration controls for the Galerkin solve.
 
     ``tol`` bounds the sup norm of the coefficient update; ``quad_points``
-    sets the Gauss rule used inside the integral operator; ``relax`` is an
-    optional damping factor for Picard (1 = undamped).  ``initial_guess``
-    is "project-f", "zero", or a PiecewisePoly on the solve mesh.  ``tol``
-    and ``relax`` must be numbers and ``max_iter`` and ``quad_points``
-    integers; strings and bools are rejected with ValueError.
+    sets the Gauss rule used inside the integral operator, at most
+    ``MAX_POINTS``.  ``tol`` must be a number and ``max_iter`` and
+    ``quad_points`` integers; strings and bools are rejected with
+    ValueError.  Every solve starts from the projection of f.
     """
 
     method: str = "picard"
     tol: float = 1e-12
     max_iter: int = 200
     quad_points: int = 10
-    initial_guess: Union[str, PiecewisePoly] = "project-f"
-    relax: float = 1.0
 
     def __post_init__(self):
         for name, kind, what in (("tol", numbers.Real, "a number"),
                                  ("max_iter", numbers.Integral, "an integer"),
-                                 ("quad_points", numbers.Integral, "an integer"),
-                                 ("relax", numbers.Real, "a number")):
+                                 ("quad_points", numbers.Integral, "an integer")):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
@@ -81,14 +75,8 @@ class SolveOptions:
             raise ValueError("tolerance must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.quad_points < 2:
-            raise ValueError("quad_points must be at least 2")
-        if not 0.0 < self.relax <= 1.0:
-            raise ValueError("relaxation factor must lie in (0, 1]")
-        guess = self.initial_guess
-        named = isinstance(guess, str) and guess in INITIAL_GUESSES
-        if not (named or isinstance(guess, PiecewisePoly)):
-            raise ValueError(f"unknown initial guess {guess!r}")
+        if not 2 <= self.quad_points <= MAX_POINTS:
+            raise ValueError(f"quad_points must be in [2, {MAX_POINTS}], got {self.quad_points}")
 
 
 @dataclass(frozen=True)
@@ -137,17 +125,6 @@ def _projection_stencil(mesh: UniformMesh, r: int, rule: GaussRule):
     return nodes, to_coeffs
 
 
-def _initial_coeffs(f_coeffs, mesh, r, opts) -> np.ndarray:
-    guess = opts.initial_guess
-    if isinstance(guess, PiecewisePoly):
-        if guess.mesh.n != mesh.n or guess.r != r:
-            raise ValueError("supplied initial guess lives on a different space")
-        return np.array(guess.coeffs)
-    if guess == "zero":
-        return np.zeros((mesh.n, r))
-    return f_coeffs.copy()  # the projection of f
-
-
 def _sup_on_rule(poly: PiecewisePoly, rule: GaussRule) -> float:
     """Sup of |poly| sampled on the per-cell quadrature grid plus cell edges."""
     mesh = poly.mesh
@@ -186,8 +163,7 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     def jacobian(coeffs):
         return assemble_linearized(prob, PiecewisePoly(mesh, r, coeffs), mesh, r, inner)
 
-    c0 = _initial_coeffs(f_coeffs, mesh, r, opts)
-    c, iterations, update = _iterate(value, jacobian, c0, opts, 1.0,
+    c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
                                      lambda coeffs: PiecewisePoly(mesh, r, coeffs))
     residual_poly = PiecewisePoly(mesh, r, c - value(c))
     return GalerkinSolution(
@@ -201,17 +177,14 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
 def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
     """The one Picard/Newton loop for the fixed point c = value(c).
 
-    Picard takes c <- value(c), damped by ``opts.relax``; Newton solves
-    (I - jacobian(c)) delta = value(c) - c.  The update is the sup of the
-    change times ``scale``.  Returns ``(c, iterations, update)``; every
+    Picard takes c <- value(c); Newton solves (I - jacobian(c)) delta =
+    value(c) - c.  The update is the sup of the change times ``scale``.  Returns ``(c, iterations, update)``; every
     DivergenceError carries ``as_poly`` of the last iterate it accepted.
     """
     c, update, first = c0, math.inf, None
     for iteration in range(1, opts.max_iter + 1):
         if opts.method == "picard":
             c_next = value(c)
-            if opts.relax != 1.0:
-                c_next = (1.0 - opts.relax) * c + opts.relax * c_next
         else:
             resid = c - value(c)
             jac = np.eye(c.size) - jacobian(c)
@@ -335,16 +308,6 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     f_mid = _sampled(prob.f, mids)
     s_grid, t_grid = np.meshgrid(mids, mids, indexing="ij")
 
-    guess = opts.initial_guess
-    if isinstance(guess, PiecewisePoly):
-        if guess.mesh.n != n or guess.r != 1:
-            raise ValueError("supplied initial guess lives on a different space")
-        x = np.asarray(guess(mids), dtype=float).copy()
-    elif guess == "zero":
-        x = np.zeros(n)
-    else:
-        x = f_mid.copy()
-
     def value(xv):
         k_mat = kernel_eval(kern, s_grid, t_grid, xv)  # xv[j] at t_j in every row
         return h * k_mat.sum(axis=1) + f_mid
@@ -358,7 +321,7 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     def as_poly(xv):
         return PiecewisePoly(mesh, 1, sqrt_h * xv[:, None])
 
-    x, iterations, update = _iterate(value, jacobian, x, opts, sqrt_h, as_poly)
+    x, iterations, update = _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly)
     return GalerkinSolution(
         x_g=as_poly(x),
         iterations=iterations,

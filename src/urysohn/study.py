@@ -12,7 +12,7 @@ import json
 import numbers
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError
 from .piecewise import make_mesh
 from .problems import get_problem
-from .quadrature import gauss_rule
+from .quadrature import MAX_POINTS, gauss_rule
 from .solver import (
     SolveOptions,
     iterated_at_partition,
@@ -56,6 +56,25 @@ def _integer(name: str, value) -> int:
     return int(value)
 
 
+def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions:
+    """The one check of a solve level: n >= 1 cells, 1 <= r <= MAX_POINTS
+    (the projection rule has max(r, 10) points), a known discrete mode that
+    admits r, and the SolveOptions built from ``solver``.  Every failure is
+    a ConfigError."""
+    if n < 1:
+        raise ConfigError(f"mesh sizes must be positive, got {n}")
+    if not 1 <= r <= MAX_POINTS:
+        raise ConfigError(f"polynomial order must be in [1, {MAX_POINTS}], got {r}")
+    if discrete_mode not in DISCRETE_MODES:
+        raise ConfigError(f"unknown discrete mode {discrete_mode!r}")
+    if discrete_mode == "paper-discrete" and r != 1:
+        raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
+    try:
+        return SolveOptions(**solver)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 @dataclass
 class StudyConfig:
     """Everything needed to reproduce a convergence study.
@@ -63,8 +82,9 @@ class StudyConfig:
     ``n_sequence`` must be strictly doubling so partition points nest.
     ``r``, ``max_iter``, ``quad_points`` and the ``n_sequence`` entries must
     be integers and ``tol`` a number; strings and bools are rejected, not
-    coerced (the solver fields by the SolveOptions built here).  JSON
-    config files use exactly these field names.
+    coerced (the solver fields by the SolveOptions built here).  The
+    ranges are those of every solve level, checked by ``_level_options``.
+    JSON config files use exactly these field names.
     """
 
     problem_id: str
@@ -90,22 +110,16 @@ class StudyConfig:
         for a, b in zip(self.n_sequence, self.n_sequence[1:]):
             if b != 2 * a:
                 raise ConfigError(f"n_sequence must double at every step, got {self.n_sequence}")
-        if self.n_sequence[0] < 1:
-            raise ConfigError("mesh sizes must be positive")
-        if self.r < 1:
-            raise ConfigError(f"polynomial order must be at least 1, got {self.r}")
-        if self.discrete_mode not in DISCRETE_MODES:
-            raise ConfigError(f"unknown discrete mode {self.discrete_mode!r}")
-        if self.discrete_mode == "paper-discrete" and self.r != 1:
-            raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.output_format!r}")
-        try:
-            SolveOptions(method=self.method, tol=self.tol, max_iter=self.max_iter,
-                         quad_points=self.quad_points)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        self._solve_options()
         self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
+
+    def _solve_options(self) -> SolveOptions:
+        """The checked SolveOptions of every level of this study."""
+        return _level_options(self.n_sequence[0], self.r, self.discrete_mode,
+                              method=self.method, tol=self.tol, max_iter=self.max_iter,
+                              quad_points=self.quad_points)
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -118,20 +132,7 @@ class StudyConfig:
         return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "problem_id": self.problem_id,
-            "params": dict(self.params),
-            "r": self.r,
-            "n_sequence": list(self.n_sequence),
-            "method": self.method,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "quad_points": self.quad_points,
-            "rhs_mode": self.rhs_mode,
-            "discrete_mode": self.discrete_mode,
-            "output_path": self.output_path,
-            "output_format": self.output_format,
-        }
+        return {**asdict(self), "n_sequence": list(self.n_sequence)}
 
 
 @dataclass
@@ -199,14 +200,19 @@ def zeta_estimate(errors: Sequence[np.ndarray], hs: Sequence[float], r: int):
 
 
 def _solve_level(prob, n, r, opts, discrete_mode):
+    """The one scheme dispatch: solve on the uniform n-cell mesh and read x_s
+    at its partition points.  Returns ``(solution, partition_values)``; a
+    DivergenceError is tagged with the level n."""
     mesh = make_mesh(n)
     try:
         if discrete_mode == "paper-discrete":
-            return solve_paper_discrete(prob, mesh, opts)
-        return solve_galerkin(prob, mesh, r, opts)
+            sol = solve_paper_discrete(prob, mesh, opts)
+        else:
+            sol = solve_galerkin(prob, mesh, r, opts)
     except DivergenceError as exc:
         exc.level = n
         raise
+    return sol, iterated_at_partition(prob, sol, gauss_rule(opts.quad_points))
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
@@ -220,9 +226,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """
     t_start = time.perf_counter()
     prob = get_problem(config.problem_id, config.params, config.rhs_mode)
-    opts = SolveOptions(method=config.method, tol=config.tol, max_iter=config.max_iter,
-                        quad_points=config.quad_points)
-    rule = gauss_rule(config.quad_points)
+    opts = config._solve_options()
     ns = config.n_sequence
     n0 = ns[0]
     coarse_idx = np.arange(1, n0)  # interior partition points of the coarsest mesh
@@ -232,8 +236,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     partition = {}
     iterations = {}
     for n in ns:
-        sol = _solve_level(prob, n, config.r, opts, config.discrete_mode)
-        pv = iterated_at_partition(prob, sol, rule)
+        sol, pv = _solve_level(prob, n, config.r, opts, config.discrete_mode)
         partition[n] = pv
         level_values[n] = pv.values[coarse_idx * (n // n0)]
         iterations[n] = sol.iterations
@@ -241,8 +244,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     reference_based = prob.exact is None
     if reference_based:
         n_ref = ns[-1] * _REFERENCE_REFINEMENT
-        ref_sol = _solve_level(prob, n_ref, config.r, opts, config.discrete_mode)
-        ref_pv = iterated_at_partition(prob, ref_sol, rule)
+        _, ref_pv = _solve_level(prob, n_ref, config.r, opts, config.discrete_mode)
         exact_vals = ref_pv.values[coarse_idx * (n_ref // n0)]
     else:
         exact_vals = np.asarray(prob.exact(points), dtype=float)

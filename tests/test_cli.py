@@ -112,3 +112,18 @@ def test_solve_paper_discrete_mode(tmp_path):
 def test_solve_requires_problem_and_n(capsys):
     assert main(["solve", "--n", "4"]) == 3
     assert main(["solve", "--problem", "zero-kernel"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--problem", "zero-kernel", "--n", "4,8", "--quad-points", "100"],
+    ["solve", "--problem", "zero-kernel", "--n", "4", "--quad-points", "100"],
+    ["solve", "--problem", "zero-kernel", "--n", "-4"],
+    ["solve", "--problem", "zero-kernel", "--n", "4", "--r", "0"],
+    ["study", "--problem", "zero-kernel", "--n", "4,8", "--r", "70"],
+    ["solve", "--problem", "zero-kernel", "--n", "4", "--r", "70"],
+])
+def test_out_of_range_level_exits_3_without_traceback(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err

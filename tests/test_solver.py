@@ -335,41 +335,16 @@ def test_solve_options_validation():
     with pytest.raises(ValueError):
         u.SolveOptions(quad_points=1)
     with pytest.raises(ValueError):
-        u.SolveOptions(relax=0.0)
-    with pytest.raises(ValueError):
-        u.SolveOptions(initial_guess="guess")
-    with pytest.raises(ValueError):
-        u.SolveOptions(initial_guess=5)  # neither a known name nor a PiecewisePoly
+        u.SolveOptions(quad_points=65)  # above quadrature.MAX_POINTS
 
 
 @pytest.mark.parametrize("field, value", [
     ("max_iter", 2.5), ("max_iter", "50"), ("quad_points", True), ("quad_points", 10.0),
-    ("tol", "1e-3"), ("tol", None), ("relax", "0.5"),
+    ("tol", "1e-3"), ("tol", None),
 ])
 def test_solve_options_reject_wrong_types(field, value):
     with pytest.raises(ValueError, match=field):
         u.SolveOptions(**{field: value})
-
-
-def test_relaxed_picard_converges_to_same_solution(hammerstein):
-    mesh = u.make_mesh(6)
-    plain = u.solve_galerkin(hammerstein, mesh, 1, u.SolveOptions(tol=1e-12))
-    damped = u.solve_galerkin(hammerstein, mesh, 1, u.SolveOptions(tol=1e-12, relax=0.7))
-    assert np.max(np.abs(plain.x_g.coeffs - damped.x_g.coeffs)) < 1e-10
-    assert damped.iterations > plain.iterations
-
-
-def test_supplied_initial_guess(hammerstein):
-    mesh = u.make_mesh(6)
-    first = u.solve_galerkin(hammerstein, mesh, 1, u.SolveOptions(tol=1e-12))
-    warm = u.solve_galerkin(
-        hammerstein, mesh, 1, u.SolveOptions(tol=1e-12, initial_guess=first.x_g)
-    )
-    assert warm.iterations <= 2
-    with pytest.raises(ValueError):
-        u.solve_galerkin(
-            hammerstein, mesh, 2, u.SolveOptions(initial_guess=first.x_g)
-        )
 
 
 # --- midpoint compatibility scheme ----------------------------------------------
