@@ -21,6 +21,7 @@ from .problems import (
     GAMMA_DEFAULT,
     PROBLEM_IDS,
     GreenKernel,
+    HammersteinKernel,
     UrysohnProblem,
     apply_K,
     apply_Kprime,

@@ -71,7 +71,7 @@ def basis_table(r: int, tau: np.ndarray) -> np.ndarray:
     out[..., 0] = 1.0
     if r > 1:
         out[..., 1] = math.sqrt(3.0) * x
-    p_km1, p_k = np.ones_like(x), x
+    p_km1, p_k = out[..., 0], x
     for k in range(2, r):
         p_km1, p_k = p_k, ((2 * k - 1) * x * p_k - (k - 1) * p_km1) / k
         out[..., k] = math.sqrt(2 * k + 1) * p_k

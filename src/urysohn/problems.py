@@ -2,7 +2,9 @@
 
 A kernel kappa(s, t, u) is given by two pieces that agree on the diagonal
 t = s but whose s/t derivatives may jump there, so every integral is taken
-with panels split at the diagonal.  The module provides the integral
+with panels split at the diagonal; a Hammerstein kernel G(s, t) psi(t, u)
+whose G has rank one on each triangle is integrated by prefix sums
+instead.  The module provides the integral
 operator, its first two u-derivatives, residual evaluation and
 manufactured right-hand sides, each at a scalar or an array of points s in
 one batched call, and a small registry of built-in benchmark problems.
@@ -23,6 +25,7 @@ from .quadrature import GaussRule, SplitOperator, _sampled, gauss_rule
 
 __all__ = [
     "GreenKernel",
+    "HammersteinKernel",
     "UrysohnProblem",
     "kernel_eval",
     "apply_K",
@@ -42,8 +45,20 @@ _RHS_MESH = make_mesh(8)
 _RHS_RULE = gauss_rule(16)
 
 
+class _TwoPieces:
+    """The derivative checks shared by both kernel types."""
+
+    def require_first_derivative(self):
+        if self.du_kappa1 is None or self.du_kappa2 is None:
+            raise MissingDerivativeError("kernel has no first u-derivative pieces")
+
+    def require_second_derivative(self):
+        if self.du2_kappa1 is None or self.du2_kappa2 is None:
+            raise MissingDerivativeError("kernel has no second u-derivative pieces")
+
+
 @dataclass(frozen=True)
-class GreenKernel:
+class GreenKernel(_TwoPieces):
     """Two-piece kernel: ``kappa1`` on t <= s, ``kappa2`` on s <= t.
 
     The pieces agree on the diagonal.  ``du_*`` are the first u-derivative
@@ -60,13 +75,38 @@ class GreenKernel:
     du2_kappa1: Optional[Callable] = None
     du2_kappa2: Optional[Callable] = None
 
-    def require_first_derivative(self):
-        if self.du_kappa1 is None or self.du_kappa2 is None:
-            raise MissingDerivativeError("kernel has no first u-derivative pieces")
 
-    def require_second_derivative(self):
-        if self.du2_kappa1 is None or self.du2_kappa2 is None:
-            raise MissingDerivativeError("kernel has no second u-derivative pieces")
+def _factored(a, b, psi):
+    """The kernel piece a(s) b(t) psi(t, u), or None without psi."""
+    return None if psi is None else (lambda s, t, u: a(s) * b(t) * psi(t, u))
+
+
+@dataclass(frozen=True)
+class HammersteinKernel(_TwoPieces):
+    """kappa(s, t, u) = G(s, t) psi(t, u), with G of rank one on each
+    triangle: a1(s) b1(t) on t <= s and a2(s) b2(t) on s <= t.
+
+    The four factors take one array; ``psi`` and its optional u-derivatives
+    ``dpsi`` and ``d2psi`` take (t, u).  The six pieces of a GreenKernel
+    are derived from them, so every generic consumer takes this kernel too,
+    while the operator calls integrate it by prefix sums
+    (``SplitOperator.apply_separable``) in O(n p + S p), not O(S n p).
+    """
+
+    a1: Callable
+    b1: Callable
+    a2: Callable
+    b2: Callable
+    psi: Callable
+    dpsi: Optional[Callable] = None
+    d2psi: Optional[Callable] = None
+
+    kappa1 = property(lambda self: _factored(self.a1, self.b1, self.psi))
+    kappa2 = property(lambda self: _factored(self.a2, self.b2, self.psi))
+    du_kappa1 = property(lambda self: _factored(self.a1, self.b1, self.dpsi))
+    du_kappa2 = property(lambda self: _factored(self.a2, self.b2, self.dpsi))
+    du2_kappa1 = property(lambda self: _factored(self.a1, self.b1, self.d2psi))
+    du2_kappa2 = property(lambda self: _factored(self.a2, self.b2, self.d2psi))
 
 
 @dataclass(frozen=True)
@@ -77,7 +117,7 @@ class UrysohnProblem:
     enabling exact error measurement in convergence studies.
     """
 
-    kernel: GreenKernel
+    kernel: GreenKernel | HammersteinKernel
     f: Callable
     exact: Optional[Callable] = None
     name: str = ""
@@ -122,40 +162,51 @@ def _like(s, values):
     return float(out) if out.ndim == 0 else out
 
 
+def _integral(kernel, op: SplitOperator, x, order: int = 0, weight=None) -> np.ndarray:
+    """At every point s of ``op``: the integral over t of the order-th
+    u-derivative of kappa(s, t, x(t)), times weight(t) when given.  A
+    HammersteinKernel is integrated by prefix sums, any other kernel on
+    the split panels."""
+    if isinstance(kernel, HammersteinKernel):
+        psi = (kernel.psi, kernel.dpsi, kernel.d2psi)[order]
+        g = psi if weight is None else (lambda t, xv: psi(t, xv) * _sampled(weight, t))
+        return op.apply_separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2, g, x)
+    fn1, fn2 = ((kernel.kappa1, kernel.kappa2), (kernel.du_kappa1, kernel.du_kappa2),
+                (kernel.du2_kappa1, kernel.du2_kappa2))[order]
+    if weight is None:
+        return op.apply(fn1, fn2, x)
+    return op.apply(lambda s, t, xv: fn1(s, t, xv) * _sampled(weight, t),
+                    lambda s, t, xv: fn2(s, t, xv) * _sampled(weight, t), x)
+
+
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
     """The integral operator: integral_0^1 kappa(s, t, x(t)) dt."""
-    k = prob.kernel
-    return _like(s, SplitOperator(mesh, rule, s).apply(k.kappa1, k.kappa2, x))
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x))
 
 
 def apply_Kprime(prob: UrysohnProblem, x, v, s, rule: GaussRule, mesh: UniformMesh):
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
-    k = prob.kernel
-    k.require_first_derivative()
-    return _like(s, SplitOperator(mesh, rule, s).apply(
-        lambda sv, t, xv: k.du_kappa1(sv, t, xv) * _sampled(v, t),
-        lambda sv, t, xv: k.du_kappa2(sv, t, xv) * _sampled(v, t), x))
+    prob.kernel.require_first_derivative()
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, 1, v))
 
 
 def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s, rule: GaussRule, mesh: UniformMesh):
     """Second derivative at x applied to (v1, v2):
     integral of d^2 kappa/du^2 (s, t, x(t)) v1(t) v2(t) dt."""
-    k = prob.kernel
-    k.require_second_derivative()
-    return _like(s, SplitOperator(mesh, rule, s).apply(
-        lambda sv, t, xv: k.du2_kappa1(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t),
-        lambda sv, t, xv: k.du2_kappa2(sv, t, xv) * _sampled(v1, t) * _sampled(v2, t), x))
+    prob.kernel.require_second_derivative()
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, 2,
+                              lambda t: _sampled(v1, t) * _sampled(v2, t)))
 
 
-def manufactured_f(kernel: GreenKernel, phi, s, rule: GaussRule, mesh: UniformMesh):
+def manufactured_f(kernel, phi, s, rule: GaussRule, mesh: UniformMesh):
     """f(s) := phi(s) - integral kappa(s, t, phi(t)) dt, so that phi solves the
     problem exactly up to quadrature error."""
-    k_vals = SplitOperator(mesh, rule, s).apply(kernel.kappa1, kernel.kappa2, phi)
+    k_vals = _integral(kernel, SplitOperator(mesh, rule, s), phi)
     return _like(s, _sampled(phi, s) - k_vals.reshape(np.shape(s)))
 
 
-def manufactured_rhs(kernel: GreenKernel, phi) -> Callable:
+def manufactured_rhs(kernel, phi) -> Callable:
     """A right-hand-side callable built from a prescribed solution phi.
 
     Uses a fixed 8-cell mesh with 16-point Gauss panels; for kernels that
@@ -186,41 +237,21 @@ PROBLEM_IDS = ("paper-hammerstein", "linear-green", "zero-kernel")
 RHS_MODES = ("manufactured", "paper")
 
 
-def _green_factor_pieces(gamma: float):
-    """The symmetric kernel sinh(g*min) sinh(g*(1-max)) / (g sinh g): the
-    Green's function of -u'' + g^2 u with Dirichlet conditions."""
+def _green_factors(gamma: float):
+    """(a1, b1, a2, b2) of sinh(g*min) sinh(g*(1-max)) / (g sinh g), the
+    Green's function of -u'' + g^2 u with Dirichlet conditions:
+    a1(s) b1(t) on t <= s and a2(s) b2(t) on s <= t."""
     c = gamma * np.sinh(gamma)
-
-    def lower(s, t):  # t <= s
-        return np.sinh(gamma * t) * np.sinh(gamma * (1.0 - s)) / c
-
-    def upper(s, t):  # s <= t
-        return np.sinh(gamma * s) * np.sinh(gamma * (1.0 - t)) / c
-
-    return lower, upper
+    return (lambda s: np.sinh(gamma * (1.0 - s)) / c, lambda t: np.sinh(gamma * t),
+            lambda s: np.sinh(gamma * s) / c, lambda t: np.sinh(gamma * (1.0 - t)))
 
 
 def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
-    lower, upper = _green_factor_pieces(gamma)
     g2 = gamma * gamma
-
-    def psi(t, u):
-        return g2 * u - 2.0 * u ** 3
-
-    def dpsi(t, u):
-        return g2 - 6.0 * u ** 2
-
-    def d2psi(t, u):
-        return -12.0 * u
-
-    kernel = GreenKernel(
-        kappa1=lambda s, t, u: lower(s, t) * psi(t, u),
-        kappa2=lambda s, t, u: upper(s, t) * psi(t, u),
-        du_kappa1=lambda s, t, u: lower(s, t) * dpsi(t, u),
-        du_kappa2=lambda s, t, u: upper(s, t) * dpsi(t, u),
-        du2_kappa1=lambda s, t, u: lower(s, t) * d2psi(t, u),
-        du2_kappa2=lambda s, t, u: upper(s, t) * d2psi(t, u),
-    )
+    kernel = HammersteinKernel(*_green_factors(gamma),
+                               psi=lambda t, u: g2 * u - 2.0 * u ** 3,
+                               dpsi=lambda t, u: g2 - 6.0 * u ** 2,
+                               d2psi=lambda t, u: -12.0 * u)
 
     def phi(s):
         return 2.0 / (2.0 * s + 1.0)
@@ -241,28 +272,17 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
 
 
 def _linear_green_problem(gamma: float, scale: float) -> UrysohnProblem:
-    lower, upper = _green_factor_pieces(gamma)
-    kernel = GreenKernel(
-        kappa1=lambda s, t, u: scale * lower(s, t) * u,
-        kappa2=lambda s, t, u: scale * upper(s, t) * u,
-        du_kappa1=lambda s, t, u: scale * lower(s, t) * np.ones_like(u),
-        du_kappa2=lambda s, t, u: scale * upper(s, t) * np.ones_like(u),
-        du2_kappa1=lambda s, t, u: np.zeros_like(u),
-        du2_kappa2=lambda s, t, u: np.zeros_like(u),
-    )
+    kernel = HammersteinKernel(*_green_factors(gamma), psi=lambda t, u: scale * u,
+                               dpsi=lambda t, u: scale, d2psi=lambda t, u: 0.0)
     phi = np.exp
     return UrysohnProblem(kernel, manufactured_rhs(kernel, phi), exact=phi, name="linear-green")
 
 
 def _zero_kernel_problem() -> UrysohnProblem:
-    def zero(s, t, u):
-        return 0.0 * (s + t + u)
+    def zero(t, u):
+        return 0.0
 
-    kernel = GreenKernel(
-        kappa1=zero, kappa2=zero,
-        du_kappa1=zero, du_kappa2=zero,
-        du2_kappa1=zero, du2_kappa2=zero,
-    )
+    kernel = HammersteinKernel(*_green_factors(GAMMA_DEFAULT), psi=zero, dpsi=zero, d2psi=zero)
 
     def f(s):
         return np.sin(np.pi * s) + 1.0

@@ -136,6 +136,30 @@ class SplitOperator:
             out[rows] += (left @ self.w).sum(axis=1) + (right @ self.w).sum(axis=1)
         return out
 
+    def apply_separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:
+        """Integral of a1(s) b1(t) g(t, x(t)) over [0, s] plus a2(s) b2(t)
+        g(t, x(t)) over [s, 1], at every s, by prefix sums.
+
+        The cells left of the split cell enter through a cumulative sum of
+        the cell integrals of b1 g, those right of it through a reversed
+        one of b2 g; only the two sub-panels depend on s.  Cost: n p + 2 p S
+        evaluations and no (S, n, p) block.
+        """
+        p, n = self.rule.p, self.mesh.n
+
+        def weighted_g(t, cells, w):
+            return np.asarray(g(t, self._sample(x, t, cells)), dtype=float) * w
+
+        g_reg = weighted_g(self.t, np.arange(n)[:, None], self.w)  # (n, p)
+        g_sub = weighted_g(self.t_sub, self.cells[:, None], self.w_sub)  # (S, 2p)
+        # before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g
+        before = np.concatenate(([0.0], np.cumsum((_sampled(b1, self.t) * g_reg).sum(axis=1))))
+        after = np.concatenate((np.cumsum((_sampled(b2, self.t) * g_reg).sum(axis=1)[::-1])[::-1],
+                                [0.0]))
+        left = before[self.cells] + (_sampled(b1, self.t_sub[:, :p]) * g_sub[:, :p]).sum(1)
+        right = after[self.cells + 1] + (_sampled(b2, self.t_sub[:, p:]) * g_sub[:, p:]).sum(1)
+        return _sampled(a1, self.s) * left + _sampled(a2, self.s) * right
+
 
 def _piece(fn, s, t, xv, shape):
     """fn(s, t, x(t)) broadcast to the block shape (kernels may return

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, basis_table
 from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
-from .problems import UrysohnProblem, _like, _two_piece, apply_K, kernel_eval
+from .problems import UrysohnProblem, _integral, _like, _two_piece, apply_K, kernel_eval
 
 __all__ = [
     "SolveOptions",
@@ -148,7 +148,6 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     if r < 1:
         raise ValueError(f"polynomial order must be positive, got {r}")
     opts = opts if opts is not None else SolveOptions()
-    kern = prob.kernel
     inner = gauss_rule(opts.quad_points)
     outer = gauss_rule(max(r, 10))
     nodes, to_coeffs = _projection_stencil(mesh, r, outer)
@@ -158,7 +157,7 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
 
     def value(coeffs):
         x = PiecewisePoly(mesh, r, coeffs)
-        return to_coeffs(applier.apply(kern.kappa1, kern.kappa2, x)) + f_coeffs
+        return to_coeffs(_integral(prob.kernel, applier, x)) + f_coeffs
 
     def jacobian(coeffs):
         return assemble_linearized(prob, PiecewisePoly(mesh, r, coeffs), mesh, r, inner)

@@ -1,9 +1,16 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import urysohn as u
 from urysohn.errors import ConfigError, MissingDerivativeError
+from urysohn.problems import _integral
+from urysohn.quadrature import SplitOperator
 
 GAMMA = np.sqrt(12.0)
 
@@ -202,14 +209,15 @@ def test_apply_Ksecond_multilinear_and_taylor(hammerstein, rule16):
 
 
 def test_missing_derivative_pieces_raise():
-    kern = u.GreenKernel(kappa1=lambda s, t, uu: uu, kappa2=lambda s, t, uu: uu)
-    prob = u.UrysohnProblem(kern, f=lambda s: 0.0 * s)
     mesh, rule = u.make_mesh(2), u.gauss_rule(4)
     v = lambda t: np.ones_like(t)
-    with pytest.raises(MissingDerivativeError):
-        u.apply_Kprime(prob, v, v, 0.5, rule, mesh)
-    with pytest.raises(MissingDerivativeError):
-        u.apply_Ksecond(prob, v, v, v, 0.5, rule, mesh)
+    for kern in (u.GreenKernel(kappa1=lambda s, t, uu: uu, kappa2=lambda s, t, uu: uu),
+                 u.HammersteinKernel(np.cos, np.cos, np.cos, np.cos, psi=lambda t, uu: uu)):
+        prob = u.UrysohnProblem(kern, f=lambda s: 0.0 * s)
+        with pytest.raises(MissingDerivativeError):
+            u.apply_Kprime(prob, v, v, 0.5, rule, mesh)
+        with pytest.raises(MissingDerivativeError):
+            u.apply_Ksecond(prob, v, v, v, 0.5, rule, mesh)
 
 
 def test_operator_derivative_bounded_by_kernel_sup(hammerstein, rule10):
@@ -225,6 +233,95 @@ def test_operator_derivative_bounded_by_kernel_sup(hammerstein, rule10):
     bound = np.max(np.abs(ell)) * np.max(np.abs(v(grid)))
     for s in (0.2, 0.5, 0.8):
         assert abs(u.apply_Kprime(hammerstein, x, v, s, rule10, mesh)) <= bound + 1e-12
+
+
+# --- prefix-sum path of Hammerstein kernels ----------------------------------
+
+
+def generic_twin(kernel):
+    """The same kernel as a plain GreenKernel of its derived pieces, which
+    the operator calls integrate on the split panels, not by prefix sums."""
+    return u.GreenKernel(kernel.kappa1, kernel.kappa2, kernel.du_kappa1, kernel.du_kappa2,
+                         kernel.du2_kappa1, kernel.du2_kappa2)
+
+
+@pytest.mark.parametrize("problem_id, gamma", [
+    *[(pid, g) for pid in ("paper-hammerstein", "linear-green")
+      for g in (0.5, np.sqrt(12.0), 10.0, 40.0)],
+    ("zero-kernel", None),
+])
+def test_prefix_sums_match_split_panels(problem_id, gamma):
+    """K, K'v, K''(v, w) and the manufactured f of every built-in problem by
+    prefix sums against the split-panel path, for x on the same mesh, on
+    another mesh and as a callable, at unsorted s with both ends and every
+    partition point.  Relative tolerance 1e-13; f = x - K(x) is held to
+    1e-13 of max |x|, its larger term, since the two terms cancel for large
+    gamma."""
+    prob = u.get_problem(problem_id, None if gamma is None else {"gamma": gamma})
+    assert isinstance(prob.kernel, u.HammersteinKernel)
+    slow = u.UrysohnProblem(generic_twin(prob.kernel), prob.f)
+    phi = lambda t: 1.0 / (1.0 + t)
+    v, w = (lambda t: 1.0 + t * t), (lambda t: np.exp(-t))
+    for r in (1, 2, 3):
+        rule = u.gauss_rule(2 * r + 2)
+        for n in (1, 3, 16):
+            mesh = u.make_mesh(n)
+            s = np.concatenate(([0.7, 0.0, 1.0, 0.33, 0.05, 0.999], mesh.points[::-1]))
+            for x in (u.project(phi, mesh, r), u.project(phi, u.make_mesh(2 * n + 1), r), phi):
+                calls = {
+                    "K": lambda q: u.apply_K(q, x, s, rule, mesh),
+                    "K'v": lambda q: u.apply_Kprime(q, x, v, s, rule, mesh),
+                    "K''(v,w)": lambda q: u.apply_Ksecond(q, x, v, w, s, rule, mesh),
+                    "f": lambda q: u.manufactured_f(q.kernel, x, s, rule, mesh),
+                }
+                for name, call in calls.items():
+                    atol = 1e-13 * np.max(np.abs(x(s))) if name == "f" else 0.0
+                    np.testing.assert_allclose(call(prob), call(slow), rtol=1e-13, atol=atol,
+                                               err_msg=f"{name} r={r} n={n} x={x!r}")
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n=st.integers(2, 32), p=st.integers(6, 16),
+       s=st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 0.25, 0.5, 1.0])))
+def test_prefix_sum_K_against_adaptive_quadrature(n, p, s):
+    prob = u.get_problem("paper-hammerstein")
+    x = lambda t: 0.5 + 0.25 * np.cos(2.0 * t)
+    got = u.apply_K(prob, x, s, u.gauss_rule(p), u.make_mesh(n))
+    assert got == pytest.approx(scipy_apply_K(prob, x, s), abs=1e-12)
+
+
+def test_prefix_sum_apply_memory_is_flat(hammerstein):
+    # a Picard apply on the 12,800 projection nodes of n = 1280, r = 1
+    mesh = u.make_mesh(1280)
+    rule = u.gauss_rule(10)
+    x = u.project(hammerstein.exact, mesh, 1)
+    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    tracemalloc.start()
+    try:
+        vals = _integral(hammerstein.kernel, SplitOperator(mesh, rule, nodes), x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert vals.shape == nodes.shape and np.all(np.isfinite(vals))
+    assert peak < 16e6
+
+
+def test_kernel_rebuilt_with_wrapped_fields_gives_same_K(hammerstein, rule10):
+    # dataclasses.replace with every callable field wrapped, as a tracer
+    # rebuilds a kernel, keeps the prefix-sum path and its values
+    kern = hammerstein.kernel
+
+    def wrapped(fn):
+        return lambda *args: fn(*args)
+
+    rebuilt = dataclasses.replace(kern, **{f.name: wrapped(getattr(kern, f.name))
+                                           for f in dataclasses.fields(kern)
+                                           if callable(getattr(kern, f.name))})
+    mesh = u.make_mesh(7)
+    s = np.linspace(0.0, 1.0, 29)
+    same = u.apply_K(dataclasses.replace(hammerstein, kernel=rebuilt), np.cos, s, rule10, mesh)
+    assert isinstance(rebuilt, u.HammersteinKernel)
+    np.testing.assert_array_equal(same, u.apply_K(hammerstein, np.cos, s, rule10, mesh))
 
 
 # --- manufactured right-hand sides and residuals -----------------------------
