@@ -9,7 +9,7 @@ from .errors import (
     MissingDerivativeError,
     SingularLinearizationError,
 )
-from .quadrature import GaussRule, gauss_rule, integrate_cell, integrate_split
+from .quadrature import GaussRule, gauss_rule
 from .piecewise import (
     PiecewisePoly,
     UniformMesh,

@@ -295,9 +295,10 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
 
     ``params`` may override numeric problem parameters (``gamma`` > 0 for
     the Green's-kernel problems, plus ``scale`` for linear-green); both must
-    be finite numbers.  ``rhs_mode`` selects the manufactured right-hand
-    side (default) or, for paper-hammerstein only, the historical printed
-    one.
+    be finite numbers, and gamma sinh(gamma), the scale of the Green's
+    factors, must be finite too (gamma below about 704).  ``rhs_mode``
+    selects the manufactured right-hand side (default) or, for
+    paper-hammerstein only, the historical printed one.
     """
     if params is not None and not isinstance(params, dict):
         raise ConfigError(f"params must be a mapping, got {params!r}")
@@ -316,6 +317,9 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
         gamma = take("gamma", GAMMA_DEFAULT)
         if not gamma > 0.0:
             raise ConfigError(f"gamma must be positive, got {gamma!r}")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(gamma * np.sinh(gamma)):
+                raise ConfigError(f"gamma {gamma!r} is too large: gamma sinh(gamma) overflows")
         return gamma
 
     if problem_id == "paper-hammerstein":

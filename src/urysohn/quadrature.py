@@ -1,9 +1,11 @@
-"""Gauss-Legendre quadrature on [0, 1] and composite rules that respect both
-mesh cells and an integrand whose formula changes at a point t = s."""
+"""Gauss-Legendre quadrature on [0, 1] and the batched operator that
+integrates a two-piece kernel over [0, 1] with every panel split at the
+mesh points and at t = s."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -11,11 +13,23 @@ __all__ = [
     "MAX_POINTS",
     "GaussRule",
     "gauss_rule",
-    "integrate_cell",
-    "integrate_split",
 ]
 
 MAX_POINTS = 64
+
+# A far-field block's probe, on _PROBE_POINTS Chebyshev points, needs as
+# many points as it has Chebyshev coefficients before the first two in a
+# row at most _RESOLVED times the largest, plus _MARGIN; a probe with no
+# such pair does not resolve.  The block is interpolated when that is at
+# most half its targets, so blocks with fewer than 2 (1 + _MARGIN) targets
+# get no probe.
+_RESOLVED = 1e-14
+_PROBE_POINTS = 64
+_MARGIN = 1
+
+# Nodes per kernel call when a level is evaluated: only direct blocks that
+# do not resolve have more, and this bounds their working memory.
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -46,13 +60,74 @@ def _sampled(g, t) -> np.ndarray:
     return np.broadcast_to(np.asarray(g(t), dtype=float), np.shape(t))
 
 
-def integrate_cell(g, a: float, b: float, rule: GaussRule) -> float:
-    """Gauss approximation of the integral of g over [a, b]."""
-    if a > b:
-        raise ValueError(f"empty interval: a={a} > b={b}")
-    width = b - a
-    t = a + width * rule.nodes
-    return float(width * np.dot(rule.weights, _sampled(g, t)))
+def _chebyshev(q: int):
+    """The q Chebyshev points of the second kind on [-1, 1], from 1 down to
+    -1, and their barycentric weights."""
+    bary = np.where(np.arange(q) % 2, -1.0, 1.0)
+    bary[[0, -1]] *= 0.5
+    return np.cos(np.pi * np.arange(q) / max(q - 1, 1)), bary
+
+
+def _mapped(x, lo, hi):
+    """Points x of [-1, 1] mapped to each interval [lo, hi], shape
+    lo.shape + x.shape; x = -1 and 1 give lo and hi exactly."""
+    return np.multiply.outer(lo, 0.5 * (1.0 - x)) + np.multiply.outer(hi, 0.5 * (1.0 + x))
+
+
+def _to_coefficients(q: int) -> np.ndarray:
+    """The matrix from values at the q Chebyshev points of the second kind
+    to the coefficients of their Chebyshev interpolant (a DCT-I)."""
+    k = np.arange(q)
+    mat = np.cos(np.pi * np.outer(k, k) / (q - 1)) * (2.0 / (q - 1))
+    mat[:, [0, -1]] *= 0.5
+    mat[[0, -1]] *= 0.5
+    return mat
+
+
+_PROBE_COEFFICIENTS = _to_coefficients(_PROBE_POINTS).T
+
+
+def _interpolation(xi, x, bary) -> np.ndarray:
+    """Barycentric weights (R, q) from the points x to each of the R points
+    xi; an xi that is one of the points takes that value exactly."""
+    weights = np.subtract.outer(xi, x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(bary, weights, out=weights)
+        total = weights.sum(axis=1)
+        weights /= total[:, None]
+    exact = ~np.isfinite(total)  # xi is a point: bary / 0 in its row
+    weights[exact] = xi[exact, None] == x
+    return weights
+
+
+@dataclass(frozen=True)
+class _Level:
+    """The far-field blocks of one level of the cell tree that hold some
+    target, fn1 blocks (sources left of the targets) first, and their
+    targets, block by block."""
+
+    tgt: np.ndarray  # (B, 2) target cells [lo, hi)
+    src: np.ndarray  # (B, 2) source cells [lo, hi)
+    lo: np.ndarray  # (B,) the interval of the target cells
+    hi: np.ndarray
+    count: np.ndarray  # (B,) targets per block
+    probe: np.ndarray  # (B,) row of each block's probe, -1 for none
+    targets: np.ndarray  # (R,) index of each target among the points
+    block: np.ndarray  # (R,) the block of each target
+    col: np.ndarray  # (R,) its place among the targets of its block
+    xi: np.ndarray  # (R,) it mapped from its target cells to [-1, 1]
+    cells: np.ndarray  # (C,) the source cells of every block
+    cell_block: np.ndarray  # (C,) the block of each
+    first_cell: np.ndarray  # (B,) where each block's source cells start
+    split: int  # the first source cell of an fn2 block
+
+
+def _ranges(bounds: np.ndarray):
+    """The integers of every range [lo, hi) in bounds (B, 2), one after the
+    other, and where each range starts in that list."""
+    size = bounds[:, 1] - bounds[:, 0]
+    start = np.cumsum(size) - size
+    return np.repeat(bounds[:, 0] - start, size) + np.arange(size.sum()), start
 
 
 class SplitOperator:
@@ -66,10 +141,24 @@ class SplitOperator:
 
     The geometry is built once: the regular (n, p) node grid ``t`` with the
     panel weights ``w`` shared by every cell, the split cell ``cells`` of
-    each s, its sub-panel nodes ``t_sub`` (S, 2p) with weights ``w_sub``
-    (first p columns on [t_j, s], last p on [s, t_{j+1}]), and the points
-    grouped by split cell.  Work then loops over those groups, at most n,
-    and holds one (points in the group, cells, p) block at a time.
+    each s, and its sub-panel nodes ``t_sub`` (S, 2p) with weights ``w_sub``
+    (first p columns on [t_j, s], last p on [s, t_{j+1}]).
+
+    The regular cells are reached through an even bisection of the cells
+    into a binary tree, built on the first split-panel call.  At each node
+    the targets in the right child see the left child only through fn1,
+    and those in the left child see the right child only through fn2.  Each
+    piece is smooth in s on its own triangle, so such a block is evaluated
+    at q Chebyshev points of its target cells and interpolated to its
+    targets.  q is chosen per level, at every call, from the Chebyshev
+    coefficients of a probe of each block (the piece at the source node
+    next to the targets) down to about eps.  A block is interpolated only
+    when its probe resolves with at most half as many points as the block
+    has targets, and it has more targets than q; any other block is
+    evaluated at its targets by the same code, with unit weights.  The work
+    is batched level by level: two kernel calls per level (more only for a
+    level evaluated at more than _CHUNK points per block), two for the
+    probes of all levels and two for the sub-panels.
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
@@ -84,10 +173,6 @@ class SplitOperator:
                                      col + (hi - col) * rule.nodes], axis=1)
         self.w_sub = np.concatenate([(col - lo) * rule.weights,
                                      (hi - col) * rule.weights], axis=1)
-        order = np.argsort(cells, kind="stable")
-        bounds = np.flatnonzero(np.diff(cells[order])) + 1
-        self.groups = [(int(cells[rows[0]]), rows) for rows in np.split(order, bounds)
-                       if rows.size]
 
     def _sample(self, x, t, cells):
         """x at nodes t lying in the given cells.  A piecewise polynomial on
@@ -97,44 +182,183 @@ class SplitOperator:
             return x.eval_on_cells(t, cells)
         return _sampled(x, t)
 
-    def pieces(self, fn1, fn2, x):
-        """Values of fn(s, t, x(t)) on every panel, fn1 left of s and fn2
-        right of it.
+    @cached_property
+    def _tree(self):
+        """(levels, probes): the ``_Level`` of every depth of the cell tree,
+        and the probes of all levels as s (P, _PROBE_POINTS), the flat index
+        of the source node in the node grid and whether it is an fn2 probe,
+        each (P,)."""
+        n, p, pts = self.mesh.n, self.rule.p, self.mesh.points
+        order = np.argsort(self.cells, kind="stable")
+        first = np.searchsorted(self.cells[order], np.arange(n + 1))
+        x_probe = _chebyshev(_PROBE_POINTS)[0]
+        levels, probes = [], []
+        nodes = [(0, n)]
+        while nodes := [(lo, hi) for lo, hi in nodes if hi - lo > 1]:
+            left = [(lo, (lo + hi) // 2) for lo, hi in nodes]
+            right = [((lo + hi) // 2, hi) for lo, hi in nodes]
+            tgt, src = np.array(right + left), np.array(left + right)
+            nodes = left + right
+            keep = first[tgt[:, 1]] > first[tgt[:, 0]]
+            if not keep.any():
+                continue
+            half = int(keep[:len(left)].sum())
+            tgt, src = tgt[keep], src[keep]
+            rows = first[tgt]
+            count = rows[:, 1] - rows[:, 0]
+            pos, _ = _ranges(rows)
+            block = np.repeat(np.arange(len(tgt)), count)
+            lo, hi = pts[tgt[:, 0]], pts[tgt[:, 1]]
+            s = self.s[order[pos]]
+            xi = ((s - lo[block]) - (hi[block] - s)) / (hi - lo)[block]  # -1 and 1 exactly
+            # each block's piece at the source node next to its targets
+            ask = np.flatnonzero(count >= 2 * (1 + _MARGIN))
+            probe = np.full(len(tgt), -1)
+            probe[ask] = sum(len(a) for a, _, _ in probes) + np.arange(ask.size)
+            probes.append((_mapped(x_probe, lo[ask], hi[ask]),
+                           np.where(ask < half, src[ask, 1] * p - 1, src[ask, 0] * p),
+                           ask >= half))
+            cells, first_cell = _ranges(src)
+            levels.append(_Level(
+                tgt=tgt, src=src, lo=lo, hi=hi, count=count, probe=probe,
+                targets=order[pos], block=block, col=pos - rows[block, 0], xi=xi, cells=cells,
+                cell_block=np.repeat(np.arange(len(tgt)), np.diff(src).ravel()),
+                first_cell=first_cell, split=first_cell[half] if half < len(tgt) else cells.size))
+        s = np.concatenate([np.empty((0, _PROBE_POINTS))] + [a for a, _, _ in probes])
+        at = np.concatenate([np.empty(0, dtype=int)] + [a for _, a, _ in probes])
+        of_fn2 = np.concatenate([np.empty(0, dtype=bool)] + [a for _, _, a in probes])
+        return levels, (s, at, of_fn2)
 
-        Returns ``(sub, blocks)``.  ``sub`` is (S, 2p) on the sub-panels, in
-        the layout of ``t_sub``.  ``blocks`` yields ``(j, rows, left,
-        right)`` for the points ``rows`` in cell j: fn1 on cells 0..j-1 as
-        a (len(rows), j, p) block and fn2 on cells j+1..n-1 as a
-        (len(rows), n-j-1, p) block.
-        """
-        p, n = self.rule.p, self.mesh.n
+    def _ranks(self, fn1, fn2, x_reg) -> list:
+        """For every level, q and which blocks are interpolated."""
+        levels, (s, at, of_fn2) = self._tree
+        t, xv = self.t.ravel()[at, None], x_reg.ravel()[at, None]
+        vals = np.empty(s.shape)
+        for fn, rows in ((fn1, ~of_fn2), (fn2, of_fn2)):
+            vals[rows] = _piece(fn, s[rows], t[rows], xv[rows], vals[rows].shape)
+        mag = np.abs(vals @ _PROBE_COEFFICIENTS)  # Chebyshev coefficients of each probe
+        small = mag <= _RESOLVED * mag.max(axis=1, keepdims=True)
+        tail = small[:, :-1] & small[:, 1:]  # two small coefficients in a row
+        need = np.where(tail.any(axis=1), np.argmax(tail, axis=1), _PROBE_POINTS)
+        need = np.append(need, _PROBE_POINTS)  # what probe -1 reads: not resolved
+        ranks = []
+        for lev in levels:
+            need_here = need[lev.probe] + _MARGIN
+            # worth it: resolved, with at most half as many points as targets
+            worth = (need_here <= _PROBE_POINTS) & (2 * need_here <= lev.count)
+            q = max(2, int(need_here[worth].max(initial=0)))
+            ranks.append((q, worth & (lev.count > q)))
+        return ranks
+
+    def _far_field(self, fn1, fn2, x, against):
+        """Level by level, ``(level, weights, values)``.  Every block of the
+        level gets Q nodes: the Chebyshev points of its target cells, with
+        a direct block's own targets in front.  ``weights`` (R, Q) take the
+        values at a block's nodes to its targets, interpolating or picking
+        a node; ``values`` (C, Q, ...) hold fn(node, t, x(t)) against
+        ``against``, (p,) or (p, r), over the Gauss nodes of each source
+        cell.  A level whose direct blocks hold more than 2q targets (some
+        block does not resolve) is evaluated wholly at the targets, with
+        ``weights`` None: target i reads node ``col[i]``."""
+        n = self.mesh.n
         x_reg = self._sample(x, self.t, np.arange(n)[:, None])
+        for lev, (q, interp) in zip(self._tree[0], self._ranks(fn1, fn2, x_reg)):
+            size = int(lev.count[~interp].max(initial=0))
+            weighted = interp.any() and size <= 2 * q
+            x_cheb, bary = _chebyshev(max(q, size) if weighted else int(lev.count.max()))
+            nodes = _mapped(x_cheb, lev.lo, lev.hi)  # (B, Q)
+            weights = _interpolation(lev.xi, x_cheb, bary) if weighted else None
+            if size:
+                direct = np.flatnonzero(~interp[lev.block]) if weighted else slice(None)
+                cols = lev.col[direct]
+                nodes[lev.block[direct], cols] = self.s[lev.targets[direct]]
+                if weighted:
+                    weights[direct] = 0.0
+                    weights[direct, cols] = 1.0
+            yield lev, weights, self._against(fn1, fn2, nodes, lev, x_reg, against)
+
+    def _against(self, fn1, fn2, nodes, lev, x_reg, against) -> np.ndarray:
+        """For every source cell of the level, fn at the Q nodes of its
+        block (fn1 for the cells of fn1 blocks, fn2 after) against
+        ``against`` on the cell's Gauss nodes: (C, Q) + against.shape[1:],
+        _CHUNK nodes per kernel call."""
+        t, xv = self.t[lev.cells][:, None, :], x_reg[lev.cells][:, None, :]
+        k, p = lev.split, self.rule.p
+        out = np.empty((lev.cells.size, nodes.shape[1]) + against.shape[1:])
+        for start in range(0, nodes.shape[1], _CHUNK):
+            part = slice(start, start + _CHUNK)
+            s = nodes[lev.cell_block, part][:, :, None]
+            out[:k, part] = _piece(fn1, s[:k], t[:k], xv[:k], (k, s.shape[1], p)) @ against
+            out[k:, part] = _piece(fn2, s[k:], t[k:], xv[k:],
+                                   (len(s) - k, s.shape[1], p)) @ against
+        return out
+
+    def _sub_panels(self, fn1, fn2, x) -> np.ndarray:
+        """fn1 on [t_j, s] and fn2 on [s, t_{j+1}], (S, 2p) in the layout of
+        ``t_sub``."""
+        p = self.rule.p
         x_sub = self._sample(x, self.t_sub, self.cells[:, None])
         col, shape = self.s[:, None], (self.s.size, p)
-        sub = np.concatenate([_piece(fn1, col, self.t_sub[:, :p], x_sub[:, :p], shape),
-                              _piece(fn2, col, self.t_sub[:, p:], x_sub[:, p:], shape)], axis=1)
-
-        def block(fn, s, cells):
-            shape = (s.shape[0], cells.stop - cells.start, p)
-            if shape[1] == 0:
-                return np.zeros(shape)
-            return _piece(fn, s, self.t[cells], x_reg[cells], shape)
-
-        def blocks():
-            for j, rows in self.groups:
-                s = self.s[rows, None, None]
-                yield j, rows, block(fn1, s, slice(0, j)), block(fn2, s, slice(j + 1, n))
-
-        return sub, blocks()
+        return np.concatenate([_piece(fn1, col, self.t_sub[:, :p], x_sub[:, :p], shape),
+                               _piece(fn2, col, self.t_sub[:, p:], x_sub[:, p:], shape)], axis=1)
 
     def apply(self, fn1, fn2, x) -> np.ndarray:
         """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
         every s."""
-        sub, blocks = self.pieces(fn1, fn2, x)
-        out = np.einsum("sk,sk->s", sub, self.w_sub)
-        for _, rows, left, right in blocks:
-            out[rows] += (left @ self.w).sum(axis=1) + (right @ self.w).sum(axis=1)
+        out = np.einsum("sk,sk->s", self._sub_panels(fn1, fn2, x), self.w_sub)
+        for lev, weights, values in self._far_field(fn1, fn2, x, self.w):
+            at_nodes = np.add.reduceat(values, lev.first_cell)  # (B, Q)
+            if weights is None:
+                out[lev.targets] += at_nodes[lev.block, lev.col]
+            else:
+                out[lev.targets] += np.einsum("rq,rq->r", weights, at_nodes[lev.block])
         return out
+
+    def matrix(self, fn1, fn2, x, test, basis) -> np.ndarray:
+        """Galerkin matrix of the split integral: entry ((j, a), (k, b)) is
+        the sum over the points s in cell j of test_a(s) times the integral
+        over cell k of fn(s, t, x(t)) basis_b(t), fn1 left of s and fn2
+        right of it.  Shape (n r, n r).
+
+        The points must be the rule's nodes in every cell, cell by cell;
+        ``test`` (p, r) holds the row weights of the p nodes of a cell and
+        ``basis`` maps cell-local coordinates in [0, 1] to the r column
+        basis values.  A far-field block enters as a rank-Q product: the
+        test sums of the interpolation weights on its target cells times fn
+        at the Chebyshev points against the basis on its source cells.  Only
+        the diagonal blocks use the sub-panels.
+        """
+        n, p, h = self.mesh.n, self.rule.p, self.mesh.h
+        r = test.shape[1]
+        if not np.array_equal(self.s, self.t.ravel()):
+            raise ValueError("matrix needs the rule's nodes in every cell as its points")
+        tau = np.clip((self.t_sub - self.mesh.points[self.cells][:, None]) / h, 0.0, 1.0)
+        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub, basis(tau))
+        # one spare cell past the last takes the padding of smaller blocks
+        mat = np.zeros((n + 1, r, n + 1, r))
+        mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, p, r)
+        mat = mat.reshape((n + 1) * r, (n + 1) * r)
+
+        regular = self.w[:, None] * basis(self.rule.nodes)  # (p, r)
+        for lev, weights, values in self._far_field(fn1, fn2, x, regular):
+            m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
+            mt, ms, (cells, nodes) = m_t.max(), m_s.max(), values.shape[:2]
+            # every block padded to mt target and ms source cells
+            rhs = values[np.minimum(lev.first_cell[:, None] + np.arange(ms), cells - 1)]
+            rhs = rhs.transpose(0, 2, 1, 3).reshape(len(m_t), nodes, ms * r)
+            if weights is None:  # the nodes are the targets, cell by cell
+                block = test.T @ rhs[:, :mt * p].reshape(len(m_t), mt, p, ms * r)
+            else:
+                first_target = np.cumsum(m_t * p) - m_t * p
+                rows = np.minimum(first_target[:, None] + np.arange(mt * p), len(weights) - 1)
+                lhs = test.T @ weights[rows].reshape(len(m_t), mt, p, nodes)  # (B, mt, r, Q)
+                block = lhs.reshape(len(m_t), mt * r, nodes) @ rhs
+            rows = np.where(np.arange(mt) < m_t[:, None], lev.tgt[:, :1] + np.arange(mt), n)
+            cols = np.where(np.arange(ms) < m_s[:, None], lev.src[:, :1] + np.arange(ms), n)
+            rows = (rows[:, :, None] * r + np.arange(r)).reshape(len(m_t), mt * r)
+            cols = (cols[:, :, None] * r + np.arange(r)).reshape(len(m_t), ms * r)
+            mat[rows[:, :, None], cols[:, None, :]] = block.reshape(len(m_t), mt * r, ms * r)
+        return mat[:n * r, :n * r]
 
     def apply_separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:
         """Integral of a1(s) b1(t) g(t, x(t)) over [0, s] plus a2(s) b2(t)
@@ -165,14 +389,3 @@ def _piece(fn, s, t, xv, shape):
     """fn(s, t, x(t)) broadcast to the block shape (kernels may return
     scalars or arrays independent of some argument)."""
     return np.broadcast_to(np.asarray(fn(s, t, xv), dtype=float), shape)
-
-
-def integrate_split(g1, g2, s: float, mesh, rule: GaussRule) -> float:
-    """Integrate g1 over [0, s] plus g2 over [s, 1], cell by cell.
-
-    The cell containing s is subdivided at s so that neither a mesh point
-    nor the split lies inside any Gauss panel; g1 is only evaluated at
-    t <= s and g2 only at t >= s.
-    """
-    op = SplitOperator(mesh, rule, s)
-    return float(op.apply(lambda _s, t, _x: g1(t), lambda _s, t, _x: g2(t), np.zeros_like)[0])

@@ -45,6 +45,12 @@ METHODS = ("picard", "newton")
 # converging run of the built-in problems ever took an update above its first.
 _GROWTH_LIMIT = 1e6
 
+# An update between half of and all of the one this many iterations earlier
+# stops the iteration as stagnated: that is a contraction slower than 0.93
+# per iteration, which needs more than 400 iterations to gain 12 digits.
+# Updates that grow are left to _GROWTH_LIMIT.
+_STALL_WINDOW = 10
+
 
 @dataclass(frozen=True)
 class SolveOptions:
@@ -115,7 +121,7 @@ class PartitionValues:
 def _projection_stencil(mesh: UniformMesh, r: int, rule: GaussRule):
     """Per-cell quadrature nodes (flattened) and the map from values at those
     nodes to projection coefficients."""
-    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    nodes = _cell_nodes(mesh, rule)
     table = basis_table(r, rule.nodes)  # (p, r)
 
     def to_coeffs(values_flat: np.ndarray) -> np.ndarray:
@@ -141,9 +147,9 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     Picard iterates the fixed point; Newton solves the linearized update
     equation and needs the kernel's first u-derivative pieces.  Raises
     DivergenceError when ``max_iter`` is exhausted or, at once, when an
-    update is not finite or keeps growing, and SingularLinearizationError
-    when the Newton matrix is unusable (a sign that 1 is nearly an
-    eigenvalue of the operator derivative).
+    update is not finite, keeps growing or stagnates, and
+    SingularLinearizationError when the Newton matrix is unusable (a sign
+    that 1 is nearly an eigenvalue of the operator derivative).
     """
     if r < 1:
         raise ValueError(f"polynomial order must be positive, got {r}")
@@ -152,6 +158,10 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     outer = gauss_rule(max(r, 10))
     nodes, to_coeffs = _projection_stencil(mesh, r, outer)
     applier = SplitOperator(mesh, inner, nodes)
+    # The Newton matrix takes the inner rule's cell nodes as its points;
+    # with the default rules they are the projection nodes.
+    assembler = (applier if outer.p == inner.p
+                 else SplitOperator(mesh, inner, _cell_nodes(mesh, inner)))
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
 
@@ -160,7 +170,7 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
         return to_coeffs(_integral(prob.kernel, applier, x)) + f_coeffs
 
     def jacobian(coeffs):
-        return assemble_linearized(prob, PiecewisePoly(mesh, r, coeffs), mesh, r, inner)
+        return _assemble(prob, assembler, PiecewisePoly(mesh, r, coeffs), r)
 
     c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
                                      lambda coeffs: PiecewisePoly(mesh, r, coeffs))
@@ -177,10 +187,11 @@ def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
     """The one Picard/Newton loop for the fixed point c = value(c).
 
     Picard takes c <- value(c); Newton solves (I - jacobian(c)) delta =
-    value(c) - c.  The update is the sup of the change times ``scale``.  Returns ``(c, iterations, update)``; every
-    DivergenceError carries ``as_poly`` of the last iterate it accepted.
+    value(c) - c.  The update is the sup of the change times ``scale``.
+    Returns ``(c, iterations, update)``; every DivergenceError carries
+    ``as_poly`` of the last iterate it accepted.
     """
-    c, update, first = c0, math.inf, None
+    c, updates = c0, []
     for iteration in range(1, opts.max_iter + 1):
         if opts.method == "picard":
             c_next = value(c)
@@ -192,36 +203,53 @@ def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
         if not math.isfinite(update):
             raise DivergenceError(f"non-finite update in iteration {iteration} (update {update})",
                                   last_iterate=as_poly(c), update_norm=update)
-        first = update if first is None else first
-        if update > _GROWTH_LIMIT * first:
+        updates.append(update)
+        if update > _GROWTH_LIMIT * updates[0]:
             raise DivergenceError(
                 f"update grew to {update:.3e} in iteration {iteration}, more than "
-                f"{_GROWTH_LIMIT:.0e} times the first update {first:.3e}",
+                f"{_GROWTH_LIMIT:.0e} times the first update {updates[0]:.3e}",
                 last_iterate=as_poly(c), update_norm=update,
             )
         c = c_next
         if update <= opts.tol:
             return c, iteration, update
+        if iteration > _STALL_WINDOW and 0.5 < update / updates[-1 - _STALL_WINDOW] <= 1.0:
+            raise DivergenceError(
+                f"update stagnated at {update:.3e} in iteration {iteration}: not below half "
+                f"of {updates[-1 - _STALL_WINDOW]:.3e}, {_STALL_WINDOW} iterations earlier",
+                last_iterate=as_poly(c), update_norm=update,
+            )
     raise DivergenceError(
-        f"no convergence after {opts.max_iter} iterations (last update {update:.3e})",
+        f"no convergence after {opts.max_iter} iterations (last update {updates[-1]:.3e})",
         last_iterate=as_poly(c),
-        update_norm=update,
+        update_norm=updates[-1],
     )
 
 
 def _solve_newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve jac @ step = rhs, refusing a numerically singular jac.
+
+    The screen is a one-shot estimate of the 1-norm condition number,
+    ||jac||_1 max ||jac^-1 v||_1 / ||v||_1 over four fixed +-1 probes v, one
+    of them all ones (Higham and Tisseur, SIAM J. Matrix Anal. Appl. 21,
+    2000).  The probes get their own solve, so the step is the plain solve
+    of rhs.
+    """
     if not (np.all(np.isfinite(jac)) and np.all(np.isfinite(rhs))):
         return np.full_like(rhs, np.nan)  # reported by the caller as a non-finite update
-    cond = np.linalg.cond(jac)
+    m = rhs.size
+    probes = (-1.0) ** (np.arange(m)[:, None] // np.array([m, 1, 2, 3]))
+    try:
+        images = np.linalg.solve(jac, probes)
+    except np.linalg.LinAlgError as exc:
+        raise SingularLinearizationError(f"linear solve failed: {exc}") from exc
+    cond = np.abs(jac).sum(axis=0).max() * np.abs(images).sum(axis=0).max() / m
     if not np.isfinite(cond) or cond > 1e13:
         raise SingularLinearizationError(
             f"linearized system is numerically singular (cond ~ {cond:.2e}); "
             "1 may be an eigenvalue of the operator derivative"
         )
-    try:
-        return np.linalg.solve(jac, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularLinearizationError(f"linear solve failed: {exc}") from exc
+    return np.linalg.solve(jac, rhs)
 
 
 def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMesh,
@@ -229,32 +257,27 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     """Matrix of <K'(x) b_col, b_row> over the cell basis, shape (n r, n r).
 
     The inner integral splits at the diagonal t = s; the outer one is
-    per-cell Gauss with the same rule.  Row block j comes from the p outer
-    nodes in cell j, which form one group of the split operator: regular
-    cells reuse the fixed basis table, and only the sub-panels of cell j
-    need their own.
+    per-cell Gauss with the same rule.
     """
+    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), x, r)
+
+
+def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
+    """The rule's nodes in every cell, cell by cell."""
+    return (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+
+
+def _assemble(prob: UrysohnProblem, op: SplitOperator, x: PiecewisePoly, r: int) -> np.ndarray:
+    """assemble_linearized on an operator whose points are the cell nodes of
+    its rule: the outer rule's weights times the row basis are the test
+    weights of those points."""
     kern = prob.kernel
     kern.require_first_derivative()
-    n, h, p = mesh.n, mesh.h, rule.p
-    inv_sqrt_h = 1.0 / math.sqrt(h)
-    table = basis_table(r, rule.nodes)  # (p, r)
-    op = SplitOperator(mesh, rule, (mesh.points[:-1, None] + h * rule.nodes).ravel())
-    sub, blocks = op.pieces(kern.du_kappa1, kern.du_kappa2, x)
-
-    tau = np.clip((op.t_sub - mesh.points[op.cells][:, None]) / h, 0.0, 1.0)
-    own = inv_sqrt_h * np.einsum("sk,skq->sq", sub * op.w_sub, basis_table(r, tau))
-    regular = inv_sqrt_h * op.w[:, None] * table  # (p, r) weighted column basis
-    test = h * inv_sqrt_h * rule.weights[:, None] * table  # (p, r) outer rule x row basis
-
-    mat = np.empty((n * r, n * r))
-    for j, rows, left, right in blocks:
-        inner = np.empty((rows.size, n, r))
-        inner[:, :j] = left @ regular
-        inner[:, j] = own[rows]
-        inner[:, j + 1:] = right @ regular
-        mat[j * r:(j + 1) * r] = test[rows - j * p].T @ inner.reshape(rows.size, n * r)
-    return mat
+    mesh, rule = op.mesh, op.rule
+    inv_sqrt_h = 1.0 / math.sqrt(mesh.h)
+    test = mesh.h * inv_sqrt_h * rule.weights[:, None] * basis_table(r, rule.nodes)
+    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, test,
+                     lambda tau: inv_sqrt_h * basis_table(r, tau))
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):

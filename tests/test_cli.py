@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -58,7 +59,8 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
     assert main(["study", "--config", str(tmp_path / "missing.json")]) == 3
 
 
-@pytest.mark.parametrize("override", [{"r": "2"}, {"params": {"gamma": 0}}])
+@pytest.mark.parametrize("override", [{"r": "2"}, {"params": {"gamma": 0}},
+                                      {"params": {"gamma": 705}}])
 def test_wrongly_typed_or_invalid_config_exits_3_without_traceback(tmp_path, capsys, override):
     cfg = {"problem_id": "paper-hammerstein", "n_sequence": [4, 8], **override}
     path = tmp_path / "bad.json"
@@ -80,6 +82,14 @@ def test_divergence_exit_code(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["study", "--config", str(path)]) == 2
     assert "n=4" in capsys.readouterr().err
+
+
+def test_stagnation_exits_2_long_before_max_iter(capsys):
+    assert main(["solve", "--problem", "paper-hammerstein", "--n", "1",
+                 "--mode", "paper-discrete"]) == 2
+    err = capsys.readouterr().err
+    assert "stagnated" in err
+    assert int(re.search(r"iteration (\d+)", err).group(1)) < 50
 
 
 def test_solve_dumps_samples(tmp_path):

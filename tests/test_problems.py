@@ -394,10 +394,22 @@ def test_problem_ids_and_unknowns():
     ("linear-green", {"scale": float("nan")}),
     ("linear-green", {"scale": "2"}),
     ("linear-green", [("scale", 2.0)]),
+    ("paper-hammerstein", {"gamma": 705.0}),
+    ("linear-green", {"gamma": 1e4}),
 ])
 def test_bad_problem_parameters_are_config_errors(problem_id, params):
     with pytest.raises(ConfigError):
         u.get_problem(problem_id, params)
+
+
+def test_largest_gamma_below_overflow_still_solves():
+    # gamma sinh(gamma) overflows from about 704 on; just below, the Green's
+    # factors are finite and a solve converges to finite values
+    prob = u.get_problem("paper-hammerstein", {"gamma": 700.0})
+    sol = u.solve_galerkin(prob, u.make_mesh(4), 1, u.SolveOptions(method="newton"))
+    values = u.iterated_at_partition(prob, sol, u.gauss_rule(10)).values
+    assert sol.iterations < 10 and np.all(np.isfinite(values))
+    assert np.any(values != prob.f(u.make_mesh(4).points))  # the kernel is not zero
 
 
 def test_gamma_override_changes_kernel():

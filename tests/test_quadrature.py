@@ -35,8 +35,19 @@ def test_exact_for_monomials_up_to_degree(p):
         assert abs(approx - 1.0 / (k + 1)) < 1e-13, f"p={p}, degree {k}"
 
 
+def cell_integral(g, a, b, rule):
+    """Gauss approximation of the integral of g over [a, b]."""
+    return (b - a) * np.dot(rule.weights, g(a + (b - a) * rule.nodes))
+
+
+def split_integral(g1, g2, s, mesh, rule):
+    """g1 over [0, s] plus g2 over [s, 1] by the split-panel operator."""
+    op = SplitOperator(mesh, rule, s)
+    return float(op.apply(lambda _s, t, _x: g1(t), lambda _s, t, _x: g2(t), np.zeros_like)[0])
+
+
 def test_two_points_integrate_cubic_exactly():
-    assert u.integrate_cell(lambda t: t ** 3, 0.0, 1.0, u.gauss_rule(2)) == pytest.approx(0.25)
+    assert cell_integral(lambda t: t ** 3, 0.0, 1.0, u.gauss_rule(2)) == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("p", [0, 65, -3])
@@ -46,32 +57,25 @@ def test_rule_size_out_of_range(p):
 
 
 def test_integrate_cell_constant_gives_length():
-    assert u.integrate_cell(lambda t: 1.0, 0.25, 0.5, u.gauss_rule(4)) == pytest.approx(0.25)
+    assert cell_integral(np.ones_like, 0.25, 0.5, u.gauss_rule(4)) == pytest.approx(0.25)
 
 
 def test_midpoint_exact_for_linear():
-    assert u.integrate_cell(lambda t: t, 0.0, 1.0, u.gauss_rule(1)) == pytest.approx(0.5)
+    assert cell_integral(lambda t: t, 0.0, 1.0, u.gauss_rule(1)) == pytest.approx(0.5)
 
 
 def test_exponential_against_antiderivative():
-    val = u.integrate_cell(np.exp, 0.0, 1.0, u.gauss_rule(10))
+    val = cell_integral(np.exp, 0.0, 1.0, u.gauss_rule(10))
     assert abs(val - (np.e - 1.0)) < 1e-12
-
-
-def test_integrate_cell_rejects_reversed_interval():
-    with pytest.raises(ValueError):
-        u.integrate_cell(np.exp, 0.5, 0.25, u.gauss_rule(3))
 
 
 def test_split_consistent_with_plain_composite():
     mesh = u.make_mesh(5)
     rule = u.gauss_rule(10)
     g = lambda t: np.exp(t) * np.cos(3 * t)
-    plain = sum(
-        u.integrate_cell(g, mesh.points[j], mesh.points[j + 1], rule) for j in range(mesh.n)
-    )
+    plain = sum(cell_integral(g, mesh.points[j], mesh.points[j + 1], rule) for j in range(mesh.n))
     for s in (0.0, 0.1, 0.37, 0.6, 1.0):
-        assert abs(u.integrate_split(g, g, s, mesh, rule) - plain) < 1e-13
+        assert abs(split_integral(g, g, s, mesh, rule) - plain) < 1e-13
 
 
 def test_split_boundary_collapse():
@@ -80,8 +84,8 @@ def test_split_boundary_collapse():
     g1 = lambda t: np.ones_like(t)
     g2 = lambda t: np.full_like(t, 7.0)
     # s = 0: pure g2; s = 1: pure g1
-    assert u.integrate_split(g1, g2, 0.0, mesh, rule) == pytest.approx(7.0)
-    assert u.integrate_split(g1, g2, 1.0, mesh, rule) == pytest.approx(1.0)
+    assert split_integral(g1, g2, 0.0, mesh, rule) == pytest.approx(7.0)
+    assert split_integral(g1, g2, 1.0, mesh, rule) == pytest.approx(1.0)
 
 
 def test_split_green_function_row_integral():
@@ -94,23 +98,23 @@ def test_split_green_function_row_integral():
     right = lambda t: np.sinh(g * s) * np.sinh(g * (1 - t)) / c
     exact = (1.0 - (np.sinh(g * s) + np.sinh(g * (1 - s))) / np.sinh(g)) / g ** 2
     for n in (1, 4, 7):
-        val = u.integrate_split(left, right, s, u.make_mesh(n), u.gauss_rule(10))
+        val = split_integral(left, right, s, u.make_mesh(n), u.gauss_rule(10))
         assert abs(val - exact) < 1e-14
 
 
 def test_split_independent_of_mesh_for_smooth_pieces():
     rule = u.gauss_rule(10)
     g = lambda t: 1.0 / (1.0 + t ** 2)
-    base = u.integrate_split(g, g, 0.3, u.make_mesh(1), rule)
+    base = split_integral(g, g, 0.3, u.make_mesh(1), rule)
     for n in (2, 3, 8, 16):
-        assert abs(u.integrate_split(g, g, 0.3, u.make_mesh(n), rule) - base) < 1e-12
+        assert abs(split_integral(g, g, 0.3, u.make_mesh(n), rule) - base) < 1e-12
 
 
 def test_doubling_points_plateaus():
     mesh = u.make_mesh(3)
     g = lambda t: np.exp(np.sin(2 * t))
-    v10 = u.integrate_split(g, g, 0.4, mesh, u.gauss_rule(10))
-    v20 = u.integrate_split(g, g, 0.4, mesh, u.gauss_rule(20))
+    v10 = split_integral(g, g, 0.4, mesh, u.gauss_rule(10))
+    v20 = split_integral(g, g, 0.4, mesh, u.gauss_rule(20))
     assert abs(v10 - v20) < 1e-12
 
 
@@ -118,9 +122,9 @@ def test_split_rejects_outside_interval():
     mesh = u.make_mesh(2)
     rule = u.gauss_rule(3)
     with pytest.raises(ValueError):
-        u.integrate_split(np.exp, np.exp, -0.1, mesh, rule)
+        split_integral(np.exp, np.exp, -0.1, mesh, rule)
     with pytest.raises(ValueError):
-        u.integrate_split(np.exp, np.exp, 1.5, mesh, rule)
+        split_integral(np.exp, np.exp, 1.5, mesh, rule)
 
 
 def test_panels_never_straddle_split_or_mesh_points():
@@ -175,3 +179,121 @@ def test_batched_K_at_unsorted_points_against_adaptive_quadrature(hammerstein, r
 
     expected = np.array([oracle(s) for s in s_points])
     assert np.max(np.abs(got - expected)) < 1e-11
+
+
+# --- the cell tree against a dense split-panel oracle ---------------------------
+
+
+def urysohn_kernel(gamma):
+    """G(s, t) gamma^2 u exp(-s u / 2) with the Green's function G of
+    -u'' + gamma^2 u: a plain GreenKernel, since the nonlinearity depends
+    on s."""
+    c, g2 = gamma * np.sinh(gamma), gamma * gamma
+    lower = lambda s, t: np.sinh(gamma * t) * np.sinh(gamma * (1.0 - s)) / c
+    upper = lambda s, t: np.sinh(gamma * s) * np.sinh(gamma * (1.0 - t)) / c
+    psi = lambda s, x: g2 * x * np.exp(-0.5 * s * x)
+    dpsi = lambda s, x: g2 * np.exp(-0.5 * s * x) * (1.0 - 0.5 * s * x)
+    return u.GreenKernel(kappa1=lambda s, t, x: lower(s, t) * psi(s, x),
+                         kappa2=lambda s, t, x: upper(s, t) * psi(s, x),
+                         du_kappa1=lambda s, t, x: lower(s, t) * dpsi(s, x),
+                         du_kappa2=lambda s, t, x: upper(s, t) * dpsi(s, x))
+
+
+def dense_split(fn1, fn2, g, s, mesh, rule):
+    """Brute force, shape (S, n): for every s and cell k, the Gauss sum of
+    fn1(s, t, g(t)) over cell k when k is left of the cell of s, of fn2 when
+    it is right of it, and for the cell of s itself fn1 on [t_j, s] plus fn2
+    on [s, t_j+1].  Every (s, cell, node) triple is evaluated."""
+    cells = mesh.cell_of(s)
+    lo, hi, col = mesh.points[cells][:, None], mesh.points[cells + 1][:, None], s[:, None]
+    t = mesh.points[:-1, None] + mesh.h * rule.nodes
+    k = np.arange(mesh.n)[None, :, None]
+    pick = np.where(k < cells[:, None, None], fn1(s[:, None, None], t, g(t)),
+                    np.where(k > cells[:, None, None], fn2(s[:, None, None], t, g(t)), 0.0))
+    out = mesh.h * pick @ rule.weights
+    t1, t2 = lo + (col - lo) * rule.nodes, col + (hi - col) * rule.nodes
+    out[np.arange(s.size), cells] = (((col - lo) * fn1(col, t1, g(t1))) @ rule.weights
+                                     + ((hi - col) * fn2(col, t2, g(t2))) @ rule.weights)
+    return out
+
+
+def cell_basis(mesh, r, t):
+    """The r orthonormal basis functions of the cell holding each t."""
+    cells = mesh.cell_of(t)
+    return u.basis_table(r, (t - mesh.points[cells]) / mesh.h) / np.sqrt(mesh.h)
+
+
+def dense_matrix(fn1, fn2, x, mesh, r, rule):
+    """Brute-force Newton matrix: the integrals of every column basis
+    function at the rule's nodes in every cell by dense_split, summed
+    against the row basis with the outer rule's weights."""
+    n = mesh.n
+    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    inner = np.stack([dense_split(
+        lambda s, t, xv, b=b: fn1(s, t, xv) * cell_basis(mesh, r, t)[..., b],
+        lambda s, t, xv, b=b: fn2(s, t, xv) * cell_basis(mesh, r, t)[..., b],
+        x, nodes, mesh, rule) for b in range(r)], axis=2)  # (n p, n, r)
+    test = mesh.h * rule.weights[:, None] * u.basis_table(r, rule.nodes) / np.sqrt(mesh.h)
+    mat = np.einsum("pa,jpkb->jakb", test, inner.reshape(n, rule.p, n, r))
+    return mat.reshape(n * r, n * r)
+
+
+def tree_points(mesh):
+    """Unsorted points with both ends, every partition point and enough
+    points per cell that the top blocks are interpolated."""
+    inner = np.random.default_rng(7).random(240)
+    return np.concatenate(([0.7, 0.0, 1.0], mesh.points[::-1], inner, [0.999]))
+
+
+@pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
+def test_tree_matches_dense_split_panels(gamma):
+    """K(x), K'v and the Newton matrix of a plain GreenKernel through the
+    cell tree against the dense oracle: K and K'v within 1e-13 relative at
+    every point (exact zeros stay zero), the matrix within 1e-13 relative
+    and 1e-13 of its largest entry."""
+    kern = urysohn_kernel(gamma)
+    prob = u.UrysohnProblem(kern, f=np.cos)
+    v = lambda t: 1.0 + t * t
+    for r in (1, 2, 3):
+        rule = u.gauss_rule(2 * r + 2)
+        for n in (1, 3, 16, 80):
+            mesh = u.make_mesh(n)
+            x = u.project(lambda t: 1.0 / (1.0 + t), mesh, r)
+            s = tree_points(mesh)
+            got = u.apply_K(prob, x, s, rule, mesh)
+            want = dense_split(kern.kappa1, kern.kappa2, x, s, mesh, rule).sum(axis=1)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"K r={r} n={n}")
+            got = u.apply_Kprime(prob, x, v, s, rule, mesh)
+            want = dense_split(lambda *a: kern.du_kappa1(*a) * v(a[1]),
+                               lambda *a: kern.du_kappa2(*a) * v(a[1]), x, s, mesh, rule)
+            np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-13, atol=0,
+                                       err_msg=f"K'v r={r} n={n}")
+
+            want = dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule)
+            got = u.assemble_linearized(prob, x, mesh, r, rule)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
+                                       err_msg=f"matrix r={r} n={n}")
+
+
+def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
+    """Pieces that oscillate in s too fast for the probe on the wide blocks:
+    those blocks are evaluated at their targets, more than one kernel call's
+    worth of nodes at a time, the narrow ones are still interpolated, and K
+    and the Newton matrix match the dense oracles."""
+    fn1 = lambda s, t, x: np.cos(200.0 * s + t) * x
+    fn2 = lambda s, t, x: np.sin(200.0 * s - t) * x
+    mesh, rule = u.make_mesh(32), u.gauss_rule(6)
+    x = u.project(np.exp, mesh, 2)
+    s = np.concatenate((tree_points(mesh), np.random.default_rng(8).random(1500)))
+    op = SplitOperator(mesh, rule, s)
+    levels = op._tree[0]
+    ranks = [interp for _, interp in op._ranks(fn1, fn2, x(op.t))]
+    assert levels[0].count.min() > 64 and not ranks[0].any()
+    assert any(interp.any() for interp in ranks[1:])
+    want = dense_split(fn1, fn2, x, s, mesh, rule).sum(axis=1)
+    np.testing.assert_allclose(op.apply(fn1, fn2, x), want, rtol=1e-13,
+                               atol=1e-13 * np.abs(want).max())
+    prob = u.UrysohnProblem(u.GreenKernel(fn1, fn2, fn1, fn2), f=np.cos)
+    got = u.assemble_linearized(prob, x, u.make_mesh(8), 2, u.gauss_rule(20))
+    want = dense_matrix(fn1, fn2, x, u.make_mesh(8), 2, u.gauss_rule(20))
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())

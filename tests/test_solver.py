@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +13,7 @@ from scipy.optimize import fsolve
 import urysohn as u
 from urysohn.errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from urysohn.quadrature import SplitOperator
+from urysohn.solver import _solve_newton_step
 
 GAMMA = np.sqrt(12.0)
 
@@ -42,6 +46,19 @@ def test_picard_newton_and_direct_solve_agree(linear_green):
     b = u.project(linear_green.f, mesh, r).coeffs.ravel()
     direct = np.linalg.solve(np.eye(mesh.n * r) - a_mat, b).reshape(mesh.n, r)
     assert np.max(np.abs(picard.x_g.coeffs - direct)) < 1e-10
+
+
+def test_newton_with_its_own_inner_rule_agrees_with_picard():
+    # quad_points unlike the projection rule gives the Newton matrix an
+    # operator of its own, on the inner rule's cell nodes
+    kern = u.get_problem("paper-hammerstein").kernel
+    prob = u.UrysohnProblem(u.GreenKernel(kern.kappa1, kern.kappa2, kern.du_kappa1,
+                                          kern.du_kappa2), f=lambda s: 1.0 + s * s)
+    opts = dict(tol=1e-13, quad_points=7)
+    picard = u.solve_galerkin(prob, u.make_mesh(12), 2, u.SolveOptions(method="picard", **opts))
+    newton = u.solve_galerkin(prob, u.make_mesh(12), 2, u.SolveOptions(method="newton", **opts))
+    assert newton.iterations < 8
+    assert np.max(np.abs(picard.x_g.coeffs - newton.x_g.coeffs)) < 1e-11
 
 
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green", "zero-kernel"])
@@ -323,6 +340,36 @@ def test_growing_updates_stop_early(scheme):
     assert iteration and int(iteration.group(1)) <= 20
     assert 1e6 < err.update_norm < 1e8
     assert np.all(np.isfinite(err.last_iterate.coeffs))
+
+
+def test_stagnating_updates_stop_early():
+    # the midpoint scheme on one cell has no fixed point Picard can reach:
+    # its update creeps from 0.28 towards 0.18 and never converges
+    prob = u.get_problem("paper-hammerstein")
+    with pytest.raises(DivergenceError, match="stagnated") as info:
+        u.solve_paper_discrete(prob, u.make_mesh(1), u.SolveOptions(max_iter=200))
+    iteration = re.search(r"iteration (\d+)", str(info.value))
+    assert iteration and int(iteration.group(1)) <= 20
+    assert np.all(np.isfinite(info.value.last_iterate.coeffs))
+
+
+def test_newton_step_is_the_plain_solve():
+    # the condition screen solves its probes on their own, so the step keeps
+    # the bits of np.linalg.solve with the right-hand side alone
+    rng = np.random.default_rng(11)
+    for m in (1, 7, 40, 160):
+        jac = np.eye(m) + 0.3 * rng.standard_normal((m, m)) / np.sqrt(m)
+        rhs = rng.standard_normal(m)
+        assert np.array_equal(_solve_newton_step(jac, rhs), np.linalg.solve(jac, rhs))
+
+
+def test_package_does_not_import_scipy():
+    code = "import sys, urysohn; print('scipy' in sys.modules)"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_options_validation():
