@@ -27,9 +27,10 @@ _RESOLVED = 1e-14
 _PROBE_POINTS = 64
 _MARGIN = 1
 
-# Nodes per kernel call when a level is evaluated: only direct blocks that
-# do not resolve have more, and this bounds their working memory.
-_CHUNK = 64
+# Kernel values per call, at most, for a level that is evaluated wholly at
+# its targets because some block does not resolve: its nodes go in chunks
+# of whole target cells, which bounds the working memory of such a level.
+_CHUNK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -156,9 +157,9 @@ class SplitOperator:
     when its probe resolves with at most half as many points as the block
     has targets, and it has more targets than q; any other block is
     evaluated at its targets by the same code, with unit weights.  The work
-    is batched level by level: two kernel calls per level (more only for a
-    level evaluated at more than _CHUNK points per block), two for the
-    probes of all levels and two for the sub-panels.
+    is batched level by level: two kernel calls per level (more for a level
+    evaluated wholly at its targets, in chunks of at most _CHUNK values),
+    two for the probes of all levels and two for the sub-panels.
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
@@ -251,16 +252,18 @@ class SplitOperator:
         return ranks
 
     def _far_field(self, fn1, fn2, x, against):
-        """Level by level, ``(level, weights, values)``.  Every block of the
-        level gets Q nodes: the Chebyshev points of its target cells, with
-        a direct block's own targets in front.  ``weights`` (R, Q) take the
-        values at a block's nodes to its targets, interpolating or picking
-        a node; ``values`` (C, Q, ...) hold fn(node, t, x(t)) against
-        ``against``, (p,) or (p, r), over the Gauss nodes of each source
-        cell.  A level whose direct blocks hold more than 2q targets (some
-        block does not resolve) is evaluated wholly at the targets, with
-        ``weights`` None: target i reads node ``col[i]``."""
-        n = self.mesh.n
+        """Level by level, ``(level, start, weights, values)``.  Every block
+        of the level gets Q nodes: the Chebyshev points of its target
+        cells, with a direct block's own targets in front.  ``weights``
+        (R, Q) take the values at a block's nodes to its targets,
+        interpolating or picking a node; ``values`` (C, Q, ...) hold
+        fn(node, t, x(t)) against ``against``, (p,) or (p, r), over the
+        Gauss nodes of each source cell.  A level whose direct blocks hold
+        more than 2q targets (some block does not resolve) is evaluated
+        wholly at the targets: ``weights`` is None, target i reads node
+        ``col[i]``, and the nodes come in chunks of whole cells, ``values``
+        holding nodes ``start`` onwards."""
+        n, p = self.mesh.n, self.rule.p
         x_reg = self._sample(x, self.t, np.arange(n)[:, None])
         for lev, (q, interp) in zip(self._tree[0], self._ranks(fn1, fn2, x_reg)):
             size = int(lev.count[~interp].max(initial=0))
@@ -275,22 +278,22 @@ class SplitOperator:
                 if weighted:
                     weights[direct] = 0.0
                     weights[direct, cols] = 1.0
-            yield lev, weights, self._against(fn1, fn2, nodes, lev, x_reg, against)
+            cells = max(1, _CHUNK // (lev.cells.size * p * p))
+            width = x_cheb.size if weighted else p * cells
+            for start in range(0, x_cheb.size, width):
+                yield lev, start, weights, self._against(
+                    fn1, fn2, nodes[:, start:start + width], lev, x_reg, against)
 
     def _against(self, fn1, fn2, nodes, lev, x_reg, against) -> np.ndarray:
-        """For every source cell of the level, fn at the Q nodes of its
-        block (fn1 for the cells of fn1 blocks, fn2 after) against
-        ``against`` on the cell's Gauss nodes: (C, Q) + against.shape[1:],
-        _CHUNK nodes per kernel call."""
+        """For every source cell of the level, fn at the nodes of its block
+        (fn1 for the cells of fn1 blocks, fn2 after) against ``against`` on
+        the cell's Gauss nodes: (C, Q) + against.shape[1:]."""
         t, xv = self.t[lev.cells][:, None, :], x_reg[lev.cells][:, None, :]
-        k, p = lev.split, self.rule.p
-        out = np.empty((lev.cells.size, nodes.shape[1]) + against.shape[1:])
-        for start in range(0, nodes.shape[1], _CHUNK):
-            part = slice(start, start + _CHUNK)
-            s = nodes[lev.cell_block, part][:, :, None]
-            out[:k, part] = _piece(fn1, s[:k], t[:k], xv[:k], (k, s.shape[1], p)) @ against
-            out[k:, part] = _piece(fn2, s[k:], t[k:], xv[k:],
-                                   (len(s) - k, s.shape[1], p)) @ against
+        s, k = nodes[lev.cell_block][:, :, None], lev.split
+        shape = (s.shape[1], self.rule.p)
+        out = np.empty(s.shape[:2] + against.shape[1:])
+        out[:k] = _piece(fn1, s[:k], t[:k], xv[:k], (k,) + shape) @ against
+        out[k:] = _piece(fn2, s[k:], t[k:], xv[k:], (len(s) - k,) + shape) @ against
         return out
 
     def _sub_panels(self, fn1, fn2, x) -> np.ndarray:
@@ -306,10 +309,11 @@ class SplitOperator:
         """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
         every s."""
         out = np.einsum("sk,sk->s", self._sub_panels(fn1, fn2, x), self.w_sub)
-        for lev, weights, values in self._far_field(fn1, fn2, x, self.w):
-            at_nodes = np.add.reduceat(values, lev.first_cell)  # (B, Q)
+        for lev, start, weights, values in self._far_field(fn1, fn2, x, self.w):
+            at_nodes = np.add.reduceat(values, lev.first_cell)  # (B, nodes from start)
             if weights is None:
-                out[lev.targets] += at_nodes[lev.block, lev.col]
+                here = (lev.col >= start) & (lev.col < start + at_nodes.shape[1])
+                out[lev.targets[here]] += at_nodes[lev.block[here], lev.col[here] - start]
             else:
                 out[lev.targets] += np.einsum("rq,rq->r", weights, at_nodes[lev.block])
         return out
@@ -340,24 +344,28 @@ class SplitOperator:
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
         regular = self.w[:, None] * basis(self.rule.nodes)  # (p, r)
-        for lev, weights, values in self._far_field(fn1, fn2, x, regular):
+        for lev, start, weights, values in self._far_field(fn1, fn2, x, regular):
             m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
-            mt, ms, (cells, nodes) = m_t.max(), m_s.max(), values.shape[:2]
-            # every block padded to mt target and ms source cells
+            ms, (cells, nodes) = m_s.max(), values.shape[:2]
+            # every block padded to ms source cells
             rhs = values[np.minimum(lev.first_cell[:, None] + np.arange(ms), cells - 1)]
             rhs = rhs.transpose(0, 2, 1, 3).reshape(len(m_t), nodes, ms * r)
-            if weights is None:  # the nodes are the targets, cell by cell
-                block = test.T @ rhs[:, :mt * p].reshape(len(m_t), mt, p, ms * r)
-            else:
+            if weights is None:  # the nodes are the targets of whole cells
+                local = start // p + np.arange(nodes // p)
+                block = test.T @ rhs.reshape(len(m_t), len(local), p, ms * r)
+            else:  # the targets padded to those of mt cells
+                local = np.arange(m_t.max())
                 first_target = np.cumsum(m_t * p) - m_t * p
-                rows = np.minimum(first_target[:, None] + np.arange(mt * p), len(weights) - 1)
-                lhs = test.T @ weights[rows].reshape(len(m_t), mt, p, nodes)  # (B, mt, r, Q)
-                block = lhs.reshape(len(m_t), mt * r, nodes) @ rhs
-            rows = np.where(np.arange(mt) < m_t[:, None], lev.tgt[:, :1] + np.arange(mt), n)
+                rows = np.minimum(first_target[:, None] + np.arange(local.size * p),
+                                  len(weights) - 1)
+                lhs = test.T @ weights[rows].reshape(len(m_t), local.size, p, nodes)
+                block = lhs.reshape(len(m_t), local.size * r, nodes) @ rhs
+            rows = np.where(local < m_t[:, None], lev.tgt[:, :1] + local, n)
             cols = np.where(np.arange(ms) < m_s[:, None], lev.src[:, :1] + np.arange(ms), n)
-            rows = (rows[:, :, None] * r + np.arange(r)).reshape(len(m_t), mt * r)
+            rows = (rows[:, :, None] * r + np.arange(r)).reshape(len(m_t), local.size * r)
             cols = (cols[:, :, None] * r + np.arange(r)).reshape(len(m_t), ms * r)
-            mat[rows[:, :, None], cols[:, None, :]] = block.reshape(len(m_t), mt * r, ms * r)
+            mat[rows[:, :, None], cols[:, None, :]] = block.reshape(len(m_t), local.size * r,
+                                                                    ms * r)
         return mat[:n * r, :n * r]
 
     def apply_separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:

@@ -294,6 +294,7 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
     np.testing.assert_allclose(op.apply(fn1, fn2, x), want, rtol=1e-13,
                                atol=1e-13 * np.abs(want).max())
     prob = u.UrysohnProblem(u.GreenKernel(fn1, fn2, fn1, fn2), f=np.cos)
-    got = u.assemble_linearized(prob, x, u.make_mesh(8), 2, u.gauss_rule(20))
-    want = dense_matrix(fn1, fn2, x, u.make_mesh(8), 2, u.gauss_rule(20))
+    mesh, rule = u.make_mesh(64), u.gauss_rule(20)
+    got = u.assemble_linearized(prob, x, mesh, 2, rule)
+    want = dense_matrix(fn1, fn2, x, mesh, 2, rule)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
