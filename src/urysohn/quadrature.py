@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,8 +102,7 @@ def _interpolation(xi, x, bary) -> np.ndarray:
     return weights
 
 
-@dataclass(frozen=True)
-class _Level:
+class _Level(NamedTuple):
     """The far-field blocks of one level of the cell tree that hold some
     target, fn1 blocks (sources left of the targets) first, and their
     targets, block by block."""
@@ -261,8 +261,9 @@ class SplitOperator:
         Gauss nodes of each source cell.  A level whose direct blocks hold
         more than 2q targets (some block does not resolve) is evaluated
         wholly at the targets: ``weights`` is None, target i reads node
-        ``col[i]``, and the nodes come in chunks of whole cells, ``values``
-        holding nodes ``start`` onwards."""
+        ``col[i]``, and the nodes come in chunks of a multiple of p (whole
+        cells when each holds p targets), ``values`` holding nodes
+        ``start`` onwards."""
         n, p = self.mesh.n, self.rule.p
         x_reg = self._sample(x, self.t, np.arange(n)[:, None])
         for lev, (q, interp) in zip(self._tree[0], self._ranks(fn1, fn2, x_reg)):
@@ -278,8 +279,8 @@ class SplitOperator:
                 if weighted:
                     weights[direct] = 0.0
                     weights[direct, cols] = 1.0
-            cells = max(1, _CHUNK // (lev.cells.size * p * p))
-            width = x_cheb.size if weighted else p * cells
+            chunk_cells = max(1, _CHUNK // (lev.cells.size * p * p))
+            width = x_cheb.size if weighted else p * chunk_cells
             for start in range(0, x_cheb.size, width):
                 yield lev, start, weights, self._against(
                     fn1, fn2, nodes[:, start:start + width], lev, x_reg, against)
