@@ -354,7 +354,7 @@ class SplitOperator:
             if weights is None:  # the nodes are the targets of whole cells
                 local = start // p + np.arange(nodes // p)
                 block = test.T @ rhs.reshape(len(m_t), len(local), p, ms * r)
-            else:  # the targets padded to those of mt cells
+            else:  # every block padded to the most target cells
                 local = np.arange(m_t.max())
                 first_target = np.cumsum(m_t * p) - m_t * p
                 rows = np.minimum(first_target[:, None] + np.arange(local.size * p),
