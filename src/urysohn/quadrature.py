@@ -18,19 +18,23 @@ __all__ = [
 
 MAX_POINTS = 64
 
-# A far-field block's probe, on _PROBE_POINTS Chebyshev points, needs as
+# A far-field block is probed at both end nodes of its source cells, on
+# _PROBE_POINTS Chebyshev points of its target cells.  A probe needs as
 # many points as it has Chebyshev coefficients before the first two in a
 # row at most _RESOLVED times the largest, plus _MARGIN; a probe with no
-# such pair does not resolve.  The block is interpolated when that is at
+# such pair, or with no nonzero coefficient, does not resolve.  The block
+# needs the larger of its two probes and is interpolated when that is at
 # most half its targets, so blocks with fewer than 2 (1 + _MARGIN) targets
 # get no probe.
 _RESOLVED = 1e-14
 _PROBE_POINTS = 64
 _MARGIN = 1
 
-# Kernel values per call, at most, for a level that is evaluated wholly at
-# its targets because some block does not resolve: its nodes go in chunks
-# of whole target cells, which bounds the working memory of such a level.
+# A level that is evaluated wholly at its targets, because some block does
+# not resolve, takes its nodes in chunks of whole target cells: at most
+# _CHUNK kernel values per call, or the p^2 values of one target cell
+# against each of the level's source cells (n p^2 at most) when that is
+# more.  This bounds the working memory of such a level.
 _CHUNK = 2 ** 16
 
 
@@ -152,13 +156,13 @@ class SplitOperator:
     piece is smooth in s on its own triangle, so such a block is evaluated
     at q Chebyshev points of its target cells and interpolated to its
     targets.  q is chosen per level, at every call, from the Chebyshev
-    coefficients of a probe of each block (the piece at the source node
-    next to the targets) down to about eps.  A block is interpolated only
-    when its probe resolves with at most half as many points as the block
-    has targets, and it has more targets than q; any other block is
+    coefficients of two probes of each block (the piece at the first and
+    the last node of its source cells) down to about eps.  A block is
+    interpolated only when both probes resolve, neither of them zero, with
+    at most half as many points as the block has targets, and it has more targets than q; any other block is
     evaluated at its targets by the same code, with unit weights.  The work
     is batched level by level: two kernel calls per level (more for a level
-    evaluated wholly at its targets, in chunks of at most _CHUNK values),
+    evaluated wholly at its targets, in chunks of whole target cells),
     two for the probes of all levels and two for the sub-panels.
     """
 
@@ -188,7 +192,7 @@ class SplitOperator:
         """(levels, probes): the ``_Level`` of every depth of the cell tree,
         and the probes of all levels as s (P, _PROBE_POINTS), the flat index
         of the source node in the node grid and whether it is an fn2 probe,
-        each (P,)."""
+        each (P,).  Block probe k is rows 2k and 2k + 1."""
         n, p, pts = self.mesh.n, self.rule.p, self.mesh.points
         order = np.argsort(self.cells, kind="stable")
         first = np.searchsorted(self.cells[order], np.arange(n + 1))
@@ -212,13 +216,12 @@ class SplitOperator:
             lo, hi = pts[tgt[:, 0]], pts[tgt[:, 1]]
             s = self.s[order[pos]]
             xi = ((s - lo[block]) - (hi[block] - s)) / (hi - lo)[block]  # -1 and 1 exactly
-            # each block's piece at the source node next to its targets
+            # each block's piece at the first and the last node of its sources
             ask = np.flatnonzero(count >= 2 * (1 + _MARGIN))
             probe = np.full(len(tgt), -1)
-            probe[ask] = sum(len(a) for a, _, _ in probes) + np.arange(ask.size)
-            probes.append((_mapped(x_probe, lo[ask], hi[ask]),
-                           np.where(ask < half, src[ask, 1] * p - 1, src[ask, 0] * p),
-                           ask >= half))
+            probe[ask] = sum(len(a) for a, _, _ in probes) // 2 + np.arange(ask.size)
+            probes.append((np.repeat(_mapped(x_probe, lo[ask], hi[ask]), 2, axis=0),
+                           (src[ask] * p - [0, 1]).ravel(), np.repeat(ask >= half, 2)))
             cells, first_cell = _ranges(src)
             levels.append(_Level(
                 tgt=tgt, src=src, lo=lo, hi=hi, count=count, probe=probe,
@@ -238,9 +241,12 @@ class SplitOperator:
         for fn, rows in ((fn1, ~of_fn2), (fn2, of_fn2)):
             vals[rows] = _piece(fn, s[rows], t[rows], xv[rows], vals[rows].shape)
         mag = np.abs(vals @ _PROBE_COEFFICIENTS)  # Chebyshev coefficients of each probe
-        small = mag <= _RESOLVED * mag.max(axis=1, keepdims=True)
+        top = mag.max(axis=1)
+        small = mag <= _RESOLVED * top[:, None]
         tail = small[:, :-1] & small[:, 1:]  # two small coefficients in a row
-        need = np.where(tail.any(axis=1), np.argmax(tail, axis=1), _PROBE_POINTS)
+        # a probe that is zero tells nothing of the piece near its node
+        need = np.where(tail.any(axis=1) & (top > 0), np.argmax(tail, axis=1), _PROBE_POINTS)
+        need = need.reshape(-1, 2).max(axis=1)  # both ends of each block's sources
         need = np.append(need, _PROBE_POINTS)  # what probe -1 reads: not resolved
         ranks = []
         for lev in levels:

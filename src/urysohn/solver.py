@@ -45,10 +45,9 @@ METHODS = ("picard", "newton")
 # converging run of the built-in problems ever took an update above its first.
 _GROWTH_LIMIT = 1e6
 
-# An update between half of and all of the one this many iterations earlier
-# stops the iteration as stagnated: that is a contraction slower than 0.93
-# per iteration, which needs more than 400 iterations to gain 12 digits.
-# Updates that grow are left to _GROWTH_LIMIT.
+# An update that has shrunk over the last this many iterations, but at a
+# rate that cannot bring it to tol within the iterations left, stops the
+# iteration as stagnated.  Updates that grow are left to _GROWTH_LIMIT.
 _STALL_WINDOW = 10
 
 
@@ -213,12 +212,16 @@ def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
         c = c_next
         if update <= opts.tol:
             return c, iteration, update
-        if iteration > _STALL_WINDOW and 0.5 < update / updates[-1 - _STALL_WINDOW] <= 1.0:
-            raise DivergenceError(
-                f"update stagnated at {update:.3e} in iteration {iteration}: not below half "
-                f"of {updates[-1 - _STALL_WINDOW]:.3e}, {_STALL_WINDOW} iterations earlier",
-                last_iterate=as_poly(c), update_norm=update,
-            )
+        if _STALL_WINDOW < iteration < opts.max_iter:
+            rate = update / updates[-1 - _STALL_WINDOW]
+            left = (opts.max_iter - iteration) / _STALL_WINDOW
+            if rate <= 1.0 and update * rate ** left > opts.tol:
+                raise DivergenceError(
+                    f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
+                    f"over the last {_STALL_WINDOW} iterations ({rate:.3f}) it cannot reach "
+                    f"tol {opts.tol:.1e} within max_iter {opts.max_iter}",
+                    last_iterate=as_poly(c), update_norm=update,
+                )
     raise DivergenceError(
         f"no convergence after {opts.max_iter} iterations (last update {updates[-1]:.3e})",
         last_iterate=as_poly(c),

@@ -245,14 +245,33 @@ def tree_points(mesh):
     return np.concatenate(([0.7, 0.0, 1.0], mesh.points[::-1], inner, [0.999]))
 
 
+def chirp_kernel(gamma):
+    """Pieces whose frequency in s grows with t, cos(gamma s t) u^2 and
+    sin(gamma s t + 1) u^2: a block is least smooth in s at its source
+    node farthest from 0, not at the one next to its targets."""
+    return u.GreenKernel(kappa1=lambda s, t, x: np.cos(gamma * s * t) * x * x,
+                         kappa2=lambda s, t, x: np.sin(gamma * s * t + 1.0) * x * x,
+                         du_kappa1=lambda s, t, x: 2.0 * np.cos(gamma * s * t) * x,
+                         du_kappa2=lambda s, t, x: 2.0 * np.sin(gamma * s * t + 1.0) * x)
+
+
+def zero_in_the_middle(x):
+    """x with its two middle cells set to zero: the nodes next to the top
+    split see a Green's kernel piece that is zero for every s."""
+    coeffs = x.coeffs.copy()
+    coeffs[max(x.mesh.n // 2 - 1, 0):x.mesh.n // 2 + 1] = 0.0
+    return u.PiecewisePoly(x.mesh, x.r, coeffs)
+
+
 @pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
 def test_tree_matches_dense_split_panels(gamma):
     """K(x), K'v and the Newton matrix of a plain GreenKernel through the
     cell tree against the dense oracle: K and K'v within 1e-13 relative at
     every point (exact zeros stay zero), the matrix within 1e-13 relative
-    and 1e-13 of its largest entry."""
-    kern = urysohn_kernel(gamma)
-    prob = u.UrysohnProblem(kern, f=np.cos)
+    and 1e-13 of its largest entry.  Also with x zero on the middle cells,
+    and for pieces whose smoothness in s changes across the sources (K and
+    K'v there within 1e-13 of their largest value, since they oscillate
+    through zero)."""
     v = lambda t: 1.0 + t * t
     for r in (1, 2, 3):
         rule = u.gauss_rule(2 * r + 2)
@@ -260,19 +279,27 @@ def test_tree_matches_dense_split_panels(gamma):
             mesh = u.make_mesh(n)
             x = u.project(lambda t: 1.0 / (1.0 + t), mesh, r)
             s = tree_points(mesh)
-            got = u.apply_K(prob, x, s, rule, mesh)
-            want = dense_split(kern.kappa1, kern.kappa2, x, s, mesh, rule).sum(axis=1)
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=f"K r={r} n={n}")
-            got = u.apply_Kprime(prob, x, v, s, rule, mesh)
-            want = dense_split(lambda *a: kern.du_kappa1(*a) * v(a[1]),
-                               lambda *a: kern.du_kappa2(*a) * v(a[1]), x, s, mesh, rule)
-            np.testing.assert_allclose(got, want.sum(axis=1), rtol=1e-13, atol=0,
-                                       err_msg=f"K'v r={r} n={n}")
-
-            want = dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule)
-            got = u.assemble_linearized(prob, x, mesh, r, rule)
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max(),
-                                       err_msg=f"matrix r={r} n={n}")
+            for case, kern, x_case, scaled in (
+                    ("green", urysohn_kernel(gamma), x, False),
+                    ("green, x zero in the middle", urysohn_kernel(gamma), zero_in_the_middle(x),
+                     False),
+                    ("chirp", chirp_kernel(gamma), x, True)):
+                prob, msg = u.UrysohnProblem(kern, f=np.cos), f"{case} r={r} n={n}"
+                want = dense_split(kern.kappa1, kern.kappa2, x_case, s, mesh, rule).sum(axis=1)
+                np.testing.assert_allclose(u.apply_K(prob, x_case, s, rule, mesh), want,
+                                           rtol=1e-13, atol=1e-13 * np.abs(want).max() * scaled,
+                                           err_msg=f"K {msg}")
+                want = dense_split(lambda *a: kern.du_kappa1(*a) * v(a[1]),
+                                   lambda *a: kern.du_kappa2(*a) * v(a[1]),
+                                   x_case, s, mesh, rule).sum(axis=1)
+                np.testing.assert_allclose(u.apply_Kprime(prob, x_case, v, s, rule, mesh), want,
+                                           rtol=1e-13, atol=1e-13 * np.abs(want).max() * scaled,
+                                           err_msg=f"K'v {msg}")
+                want = dense_matrix(kern.du_kappa1, kern.du_kappa2, x_case, mesh, r, rule)
+                got = u.assemble_linearized(prob, x_case, mesh, r, rule)
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max(),
+                                           err_msg=f"matrix {msg}")
 
 
 def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():

@@ -182,6 +182,28 @@ def test_picard_apply_memory_is_flat_in_the_point_count(hammerstein):
     assert peak < 8e6
 
 
+def test_unresolved_tree_levels_keep_memory_bounded():
+    # pieces too oscillatory in s for the wide blocks: those levels are
+    # evaluated at their points a few target cells at a time, not padded to
+    # one (points, most points in a block) array of about 40 MB
+    fn1 = lambda s, t, x: np.cos(300.0 * s + t) * x
+    fn2 = lambda s, t, x: np.sin(300.0 * s - t) * x
+    prob = u.UrysohnProblem(u.GreenKernel(fn1, fn2, fn1, fn2), f=np.cos)
+    mesh, rule = u.make_mesh(320), u.gauss_rule(10)
+    x = u.project(np.exp, mesh, 2)
+    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    for run, limit in ((lambda: SplitOperator(mesh, rule, nodes).apply(fn1, fn2, x), 8e6),
+                       (lambda: u.assemble_linearized(prob, x, mesh, 2, rule), 16e6)):
+        tracemalloc.start()
+        try:
+            vals = run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(vals))
+        assert peak < limit
+
+
 # --- iterated solution -----------------------------------------------------------
 
 
@@ -351,6 +373,16 @@ def test_stagnating_updates_stop_early():
     iteration = re.search(r"iteration (\d+)", str(info.value))
     assert iteration and int(iteration.group(1)) <= 20
     assert np.all(np.isfinite(info.value.last_iterate.coeffs))
+
+
+def test_slow_contraction_that_reaches_tol_is_not_stagnation():
+    # scale 21 makes Picard contract by about 0.95 per iteration: it halves
+    # the update only every 13 iterations, yet reaches tol within max_iter
+    prob = u.get_problem("linear-green", {"scale": 21.0})
+    for tol, max_iter in ((1e-4, 200), (1e-12, 600)):
+        sol = u.solve_galerkin(prob, u.make_mesh(8), 1,
+                               u.SolveOptions(method="picard", tol=tol, max_iter=max_iter))
+        assert 50 < sol.iterations < max_iter and sol.final_update <= tol
 
 
 def test_newton_step_is_the_plain_solve():
