@@ -159,11 +159,12 @@ class SplitOperator:
     coefficients of two probes of each block (the piece at the first and
     the last node of its source cells) down to about eps.  A block is
     interpolated only when both probes resolve, neither of them zero, with
-    at most half as many points as the block has targets, and it has more targets than q; any other block is
-    evaluated at its targets by the same code, with unit weights.  The work
-    is batched level by level: two kernel calls per level (more for a level
-    evaluated wholly at its targets, in chunks of whole target cells),
-    two for the probes of all levels and two for the sub-panels.
+    at most half as many points as the block has targets, and it has more
+    targets than q; any other block is evaluated at its targets by the same
+    code, with unit weights.  The work is batched level by level: two
+    kernel calls per level (more for a level evaluated wholly at its
+    targets, in chunks of whole target cells), two for the probes of all
+    levels and two for the sub-panels.
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
@@ -190,9 +191,9 @@ class SplitOperator:
     @cached_property
     def _tree(self):
         """(levels, probes): the ``_Level`` of every depth of the cell tree,
-        and the probes of all levels as s (P, _PROBE_POINTS), the flat index
-        of the source node in the node grid and whether it is an fn2 probe,
-        each (P,).  Block probe k is rows 2k and 2k + 1."""
+        and the probes of all levels as s (P, _PROBE_POINTS), the flat
+        indices of the first and the last source node in the node grid
+        (P, 2) and whether it is an fn2 probe (P,)."""
         n, p, pts = self.mesh.n, self.rule.p, self.mesh.points
         order = np.argsort(self.cells, kind="stable")
         first = np.searchsorted(self.cells[order], np.arange(n + 1))
@@ -219,9 +220,9 @@ class SplitOperator:
             # each block's piece at the first and the last node of its sources
             ask = np.flatnonzero(count >= 2 * (1 + _MARGIN))
             probe = np.full(len(tgt), -1)
-            probe[ask] = sum(len(a) for a, _, _ in probes) // 2 + np.arange(ask.size)
-            probes.append((np.repeat(_mapped(x_probe, lo[ask], hi[ask]), 2, axis=0),
-                           (src[ask] * p - [0, 1]).ravel(), np.repeat(ask >= half, 2)))
+            probe[ask] = sum(len(a) for a, _, _ in probes) + np.arange(ask.size)
+            probes.append((_mapped(x_probe, lo[ask], hi[ask]), src[ask] * p - [0, 1],
+                           ask >= half))
             cells, first_cell = _ranges(src)
             levels.append(_Level(
                 tgt=tgt, src=src, lo=lo, hi=hi, count=count, probe=probe,
@@ -229,24 +230,25 @@ class SplitOperator:
                 cell_block=np.repeat(np.arange(len(tgt)), np.diff(src).ravel()),
                 first_cell=first_cell, split=first_cell[half] if half < len(tgt) else cells.size))
         s = np.concatenate([np.empty((0, _PROBE_POINTS))] + [a for a, _, _ in probes])
-        at = np.concatenate([np.empty(0, dtype=int)] + [a for _, a, _ in probes])
+        at = np.concatenate([np.empty((0, 2), dtype=int)] + [a for _, a, _ in probes])
         of_fn2 = np.concatenate([np.empty(0, dtype=bool)] + [a for _, _, a in probes])
         return levels, (s, at, of_fn2)
 
     def _ranks(self, fn1, fn2, x_reg) -> list:
         """For every level, q and which blocks are interpolated."""
         levels, (s, at, of_fn2) = self._tree
-        t, xv = self.t.ravel()[at, None], x_reg.ravel()[at, None]
-        vals = np.empty(s.shape)
+        t, xv = self.t.ravel()[at, None], x_reg.ravel()[at, None]  # (P, 2, 1)
+        vals = np.empty(at.shape + (_PROBE_POINTS,))  # (P, 2, _PROBE_POINTS)
         for fn, rows in ((fn1, ~of_fn2), (fn2, of_fn2)):
-            vals[rows] = _piece(fn, s[rows], t[rows], xv[rows], vals[rows].shape)
+            vals[rows] = _piece(fn, s[rows, None], t[rows], xv[rows],
+                                (rows.sum(),) + vals.shape[1:])
         mag = np.abs(vals @ _PROBE_COEFFICIENTS)  # Chebyshev coefficients of each probe
-        top = mag.max(axis=1)
-        small = mag <= _RESOLVED * top[:, None]
-        tail = small[:, :-1] & small[:, 1:]  # two small coefficients in a row
+        top = mag.max(axis=2)
+        small = mag <= _RESOLVED * top[..., None]
+        tail = small[..., :-1] & small[..., 1:]  # two small coefficients in a row
         # a probe that is zero tells nothing of the piece near its node
-        need = np.where(tail.any(axis=1) & (top > 0), np.argmax(tail, axis=1), _PROBE_POINTS)
-        need = need.reshape(-1, 2).max(axis=1)  # both ends of each block's sources
+        need = np.where(tail.any(axis=2) & (top > 0), np.argmax(tail, axis=2), _PROBE_POINTS)
+        need = need.max(axis=1)  # both ends of each block's sources
         need = np.append(need, _PROBE_POINTS)  # what probe -1 reads: not resolved
         ranks = []
         for lev in levels:
