@@ -25,9 +25,7 @@ from .problems import (
     UrysohnProblem,
     apply_K,
     apply_Kprime,
-    apply_Ksecond,
     get_problem,
-    kernel_eval,
     manufactured_f,
     manufactured_rhs,
     residual,

@@ -4,10 +4,10 @@ A kernel kappa(s, t, u) is given by two pieces that agree on the diagonal
 t = s but whose s/t derivatives may jump there, so every integral is taken
 with panels split at the diagonal; a Hammerstein kernel G(s, t) psi(t, u)
 whose G has rank one on each triangle is integrated by prefix sums
-instead.  The module provides the integral
-operator, its first two u-derivatives, residual evaluation and
-manufactured right-hand sides, each at a scalar or an array of points s in
-one batched call, and a small registry of built-in benchmark problems.
+instead.  The module provides the integral operator, its u-derivative,
+residual evaluation and manufactured right-hand sides, each at a scalar or
+an array of points s in one batched call, and a small registry of built-in
+benchmark problems.
 """
 
 from __future__ import annotations
@@ -27,10 +27,8 @@ __all__ = [
     "GreenKernel",
     "HammersteinKernel",
     "UrysohnProblem",
-    "kernel_eval",
     "apply_K",
     "apply_Kprime",
-    "apply_Ksecond",
     "manufactured_f",
     "manufactured_rhs",
     "residual",
@@ -46,26 +44,23 @@ _RHS_RULE = gauss_rule(16)
 
 
 class _TwoPieces:
-    """The derivative checks shared by both kernel types."""
+    """The derivative check shared by both kernel types."""
 
     def require_first_derivative(self):
         if self.du_kappa1 is None or self.du_kappa2 is None:
             raise MissingDerivativeError("kernel has no first u-derivative pieces")
-
-    def require_second_derivative(self):
-        if self.du2_kappa1 is None or self.du2_kappa2 is None:
-            raise MissingDerivativeError("kernel has no second u-derivative pieces")
 
 
 @dataclass(frozen=True)
 class GreenKernel(_TwoPieces):
     """Two-piece kernel: ``kappa1`` on t <= s, ``kappa2`` on s <= t.
 
-    The pieces agree on the diagonal.  ``du_*`` are the first u-derivative
-    pieces, ``du2_*`` the second; both are optional and only needed for
-    Newton solves and derivative checks.  All callables take (s, t, u) as
-    numpy arrays that broadcast against each other, and may return any
-    value that broadcasts to their common shape.
+    The pieces agree on the diagonal.  ``du_*`` are the u-derivative
+    pieces, optional and only needed for Newton solves.  ``du2_*`` (second
+    u-derivative pieces) are accepted for existing callers and never read.
+    All callables take (s, t, u) as numpy arrays that broadcast against
+    each other, and may return any value that broadcasts to their common
+    shape.
     """
 
     kappa1: Callable
@@ -86,10 +81,10 @@ class HammersteinKernel(_TwoPieces):
     """kappa(s, t, u) = G(s, t) psi(t, u), with G of rank one on each
     triangle: a1(s) b1(t) on t <= s and a2(s) b2(t) on s <= t.
 
-    The four factors take one array; ``psi`` and its optional u-derivatives
-    ``dpsi`` and ``d2psi`` take (t, u).  The six pieces of a GreenKernel
-    are derived from them, so every generic consumer takes this kernel too,
-    while the operator calls integrate it by prefix sums
+    The four factors take one array; ``psi`` and its optional u-derivative
+    ``dpsi`` take (t, u).  The pieces ``kappa1/2`` and ``du_kappa1/2`` of a
+    GreenKernel are derived from them, so every generic consumer takes this
+    kernel too, while the operator calls integrate it by prefix sums
     (``SplitOperator.apply_separable``) in O(n p + S p), not O(S n p).
     """
 
@@ -99,14 +94,11 @@ class HammersteinKernel(_TwoPieces):
     b2: Callable
     psi: Callable
     dpsi: Optional[Callable] = None
-    d2psi: Optional[Callable] = None
 
     kappa1 = property(lambda self: _factored(self.a1, self.b1, self.psi))
     kappa2 = property(lambda self: _factored(self.a2, self.b2, self.psi))
     du_kappa1 = property(lambda self: _factored(self.a1, self.b1, self.dpsi))
     du_kappa2 = property(lambda self: _factored(self.a2, self.b2, self.dpsi))
-    du2_kappa1 = property(lambda self: _factored(self.a1, self.b1, self.d2psi))
-    du2_kappa2 = property(lambda self: _factored(self.a2, self.b2, self.d2psi))
 
 
 @dataclass(frozen=True)
@@ -121,23 +113,6 @@ class UrysohnProblem:
     f: Callable
     exact: Optional[Callable] = None
     name: str = ""
-
-
-def _check_unit(name, value):
-    if np.any((np.asarray(value) < 0.0) | (np.asarray(value) > 1.0)):
-        raise ValueError(f"{name} outside [0, 1]")
-
-
-def kernel_eval(kernel: GreenKernel, s, t, u):
-    """kappa(s, t, u): piece 1 where t <= s, piece 2 where t >= s.
-
-    On the diagonal either piece applies (they agree).  Each piece is only
-    evaluated on its own closed triangle.
-    """
-    _check_unit("s", s)
-    _check_unit("t", t)
-    out = _two_piece(kernel.kappa1, kernel.kappa2, s, t, u)
-    return float(out) if out.ndim == 0 else out
 
 
 def _two_piece(fn1, fn2, s, t, u) -> np.ndarray:
@@ -162,21 +137,18 @@ def _like(s, values):
     return float(out) if out.ndim == 0 else out
 
 
-def _integral(kernel, op: SplitOperator, x, order: int = 0, weight=None) -> np.ndarray:
-    """At every point s of ``op``: the integral over t of the order-th
-    u-derivative of kappa(s, t, x(t)), times weight(t) when given.  A
+def _integral(kernel, op: SplitOperator, x, v=None) -> np.ndarray:
+    """At every point s of ``op``: K(x), the integral over t of kappa(s, t,
+    x(t)), or with v given K'(x)v, that of du kappa(s, t, x(t)) v(t).  A
     HammersteinKernel is integrated by prefix sums, any other kernel on
     the split panels."""
     if isinstance(kernel, HammersteinKernel):
-        psi = (kernel.psi, kernel.dpsi, kernel.d2psi)[order]
-        g = psi if weight is None else (lambda t, xv: psi(t, xv) * _sampled(weight, t))
+        g = kernel.psi if v is None else (lambda t, xv: kernel.dpsi(t, xv) * _sampled(v, t))
         return op.apply_separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2, g, x)
-    fn1, fn2 = ((kernel.kappa1, kernel.kappa2), (kernel.du_kappa1, kernel.du_kappa2),
-                (kernel.du2_kappa1, kernel.du2_kappa2))[order]
-    if weight is None:
-        return op.apply(fn1, fn2, x)
-    return op.apply(lambda s, t, xv: fn1(s, t, xv) * _sampled(weight, t),
-                    lambda s, t, xv: fn2(s, t, xv) * _sampled(weight, t), x)
+    if v is None:
+        return op.apply(kernel.kappa1, kernel.kappa2, x)
+    return op.apply(lambda s, t, xv: kernel.du_kappa1(s, t, xv) * _sampled(v, t),
+                    lambda s, t, xv: kernel.du_kappa2(s, t, xv) * _sampled(v, t), x)
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
@@ -188,15 +160,7 @@ def apply_Kprime(prob: UrysohnProblem, x, v, s, rule: GaussRule, mesh: UniformMe
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
     prob.kernel.require_first_derivative()
-    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, 1, v))
-
-
-def apply_Ksecond(prob: UrysohnProblem, x, v1, v2, s, rule: GaussRule, mesh: UniformMesh):
-    """Second derivative at x applied to (v1, v2):
-    integral of d^2 kappa/du^2 (s, t, x(t)) v1(t) v2(t) dt."""
-    prob.kernel.require_second_derivative()
-    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, 2,
-                              lambda t: _sampled(v1, t) * _sampled(v2, t)))
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, v))
 
 
 def manufactured_f(kernel, phi, s, rule: GaussRule, mesh: UniformMesh):
@@ -250,8 +214,7 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
     g2 = gamma * gamma
     kernel = HammersteinKernel(*_green_factors(gamma),
                                psi=lambda t, u: g2 * u - 2.0 * u ** 3,
-                               dpsi=lambda t, u: g2 - 6.0 * u ** 2,
-                               d2psi=lambda t, u: -12.0 * u)
+                               dpsi=lambda t, u: g2 - 6.0 * u ** 2)
 
     def phi(s):
         return 2.0 / (2.0 * s + 1.0)
@@ -273,7 +236,7 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
 
 def _linear_green_problem(gamma: float, scale: float) -> UrysohnProblem:
     kernel = HammersteinKernel(*_green_factors(gamma), psi=lambda t, u: scale * u,
-                               dpsi=lambda t, u: scale, d2psi=lambda t, u: 0.0)
+                               dpsi=lambda t, u: scale)
     phi = np.exp
     return UrysohnProblem(kernel, manufactured_rhs(kernel, phi), exact=phi, name="linear-green")
 
@@ -282,7 +245,7 @@ def _zero_kernel_problem() -> UrysohnProblem:
     def zero(t, u):
         return 0.0
 
-    kernel = HammersteinKernel(*_green_factors(GAMMA_DEFAULT), psi=zero, dpsi=zero, d2psi=zero)
+    kernel = HammersteinKernel(*_green_factors(GAMMA_DEFAULT), psi=zero, dpsi=zero)
 
     def f(s):
         return np.sin(np.pi * s) + 1.0
@@ -296,7 +259,9 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
     ``params`` may override numeric problem parameters (``gamma`` > 0 for
     the Green's-kernel problems, plus ``scale`` for linear-green); both must
     be finite numbers, and gamma sinh(gamma), the scale of the Green's
-    factors, must be finite too (gamma below about 704).  ``rhs_mode``
+    factors, must be finite too (gamma below about 704), as must the
+    right-hand side at the partition points of its own mesh (for
+    paper-hammerstein, gamma up to about 703).  ``rhs_mode``
     selects the manufactured right-hand side (default) or, for
     paper-hammerstein only, the historical printed one.
     """
@@ -339,4 +304,8 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
 
     if params:
         raise ConfigError(f"unknown parameters for {problem_id}: {sorted(params)}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not np.all(np.isfinite(prob.f(_RHS_MESH.points))):
+            raise ConfigError(f"the right-hand side of {problem_id} is not finite at the "
+                              "points of its mesh: the parameters are too large")
     return prob

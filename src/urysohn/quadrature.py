@@ -31,10 +31,10 @@ _PROBE_POINTS = 64
 _MARGIN = 1
 
 # A level that is evaluated wholly at its targets, because some block does
-# not resolve, takes its nodes in chunks of whole target cells: at most
-# _CHUNK kernel values per call, or the p^2 values of one target cell
-# against each of the level's source cells (n p^2 at most) when that is
-# more.  This bounds the working memory of such a level.
+# not resolve, takes its nodes in chunks of whole target cells of m points:
+# at most _CHUNK kernel values per call, or the m p values of one target
+# cell against each of the level's source cells (n m p at most) when that
+# is more.  This bounds the working memory of such a level.
 _CHUNK = 2 ** 16
 
 
@@ -259,7 +259,7 @@ class SplitOperator:
             ranks.append((q, worth & (lev.count > q)))
         return ranks
 
-    def _far_field(self, fn1, fn2, x, against):
+    def _far_field(self, fn1, fn2, x, against, m):
         """Level by level, ``(level, start, weights, values)``.  Every block
         of the level gets Q nodes: the Chebyshev points of its target
         cells, with a direct block's own targets in front.  ``weights``
@@ -269,8 +269,8 @@ class SplitOperator:
         Gauss nodes of each source cell.  A level whose direct blocks hold
         more than 2q targets (some block does not resolve) is evaluated
         wholly at the targets: ``weights`` is None, target i reads node
-        ``col[i]``, and the nodes come in chunks of a multiple of p (whole
-        cells when each holds p targets), ``values`` holding nodes
+        ``col[i]``, and the nodes come in chunks of a multiple of m (whole
+        cells when each holds m targets), ``values`` holding nodes
         ``start`` onwards."""
         n, p = self.mesh.n, self.rule.p
         x_reg = self._sample(x, self.t, np.arange(n)[:, None])
@@ -287,8 +287,8 @@ class SplitOperator:
                 if weighted:
                     weights[direct] = 0.0
                     weights[direct, cols] = 1.0
-            chunk_cells = max(1, _CHUNK // (lev.cells.size * p * p))
-            width = x_cheb.size if weighted else p * chunk_cells
+            chunk_cells = max(1, _CHUNK // (lev.cells.size * m * p))
+            width = x_cheb.size if weighted else m * chunk_cells
             for start in range(0, x_cheb.size, width):
                 yield lev, start, weights, self._against(
                     fn1, fn2, nodes[:, start:start + width], lev, x_reg, against)
@@ -318,7 +318,7 @@ class SplitOperator:
         """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
         every s."""
         out = np.einsum("sk,sk->s", self._sub_panels(fn1, fn2, x), self.w_sub)
-        for lev, start, weights, values in self._far_field(fn1, fn2, x, self.w):
+        for lev, start, weights, values in self._far_field(fn1, fn2, x, self.w, self.rule.p):
             at_nodes = np.add.reduceat(values, lev.first_cell)  # (B, nodes from start)
             if weights is None:
                 here = (lev.col >= start) & (lev.col < start + at_nodes.shape[1])
@@ -333,41 +333,43 @@ class SplitOperator:
         over cell k of fn(s, t, x(t)) basis_b(t), fn1 left of s and fn2
         right of it.  Shape (n r, n r).
 
-        The points must be the rule's nodes in every cell, cell by cell;
-        ``test`` (p, r) holds the row weights of the p nodes of a cell and
+        The points must be the same m nodes in every cell, cell by cell;
+        ``test`` (m, r) holds the row weights of the m nodes of a cell and
         ``basis`` maps cell-local coordinates in [0, 1] to the r column
         basis values.  A far-field block enters as a rank-Q product: the
         test sums of the interpolation weights on its target cells times fn
         at the Chebyshev points against the basis on its source cells.  Only
         the diagonal blocks use the sub-panels.
         """
-        n, p, h = self.mesh.n, self.rule.p, self.mesh.h
-        r = test.shape[1]
-        if not np.array_equal(self.s, self.t.ravel()):
-            raise ValueError("matrix needs the rule's nodes in every cell as its points")
+        n, h = self.mesh.n, self.mesh.h
+        m, r = test.shape
+        offset = self.s - self.mesh.points[self.cells]
+        if (self.s.size != n * m or np.any(self.cells != np.repeat(np.arange(n), m))
+                or np.ptp(offset.reshape(n, m), axis=0).max() > 1e-13):
+            raise ValueError(f"matrix needs the same {m} nodes in every cell as its points")
         tau = np.clip((self.t_sub - self.mesh.points[self.cells][:, None]) / h, 0.0, 1.0)
         own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub, basis(tau))
         # one spare cell past the last takes the padding of smaller blocks
         mat = np.zeros((n + 1, r, n + 1, r))
-        mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, p, r)
+        mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, m, r)
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
         regular = self.w[:, None] * basis(self.rule.nodes)  # (p, r)
-        for lev, start, weights, values in self._far_field(fn1, fn2, x, regular):
+        for lev, start, weights, values in self._far_field(fn1, fn2, x, regular, m):
             m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
             ms, (cells, nodes) = m_s.max(), values.shape[:2]
             # every block padded to ms source cells
             rhs = values[np.minimum(lev.first_cell[:, None] + np.arange(ms), cells - 1)]
             rhs = rhs.transpose(0, 2, 1, 3).reshape(len(m_t), nodes, ms * r)
             if weights is None:  # the nodes are the targets of whole cells
-                local = start // p + np.arange(nodes // p)
-                block = test.T @ rhs.reshape(len(m_t), len(local), p, ms * r)
+                local = start // m + np.arange(nodes // m)
+                block = test.T @ rhs.reshape(len(m_t), len(local), m, ms * r)
             else:  # every block padded to the most target cells
                 local = np.arange(m_t.max())
-                first_target = np.cumsum(m_t * p) - m_t * p
-                rows = np.minimum(first_target[:, None] + np.arange(local.size * p),
+                first_target = np.cumsum(m_t * m) - m_t * m
+                rows = np.minimum(first_target[:, None] + np.arange(local.size * m),
                                   len(weights) - 1)
-                lhs = test.T @ weights[rows].reshape(len(m_t), local.size, p, nodes)
+                lhs = test.T @ weights[rows].reshape(len(m_t), local.size, m, nodes)
                 block = lhs.reshape(len(m_t), local.size * r, nodes) @ rhs
             rows = np.where(local < m_t[:, None], lev.tgt[:, :1] + local, n)
             cols = np.where(np.arange(ms) < m_s[:, None], lev.src[:, :1] + np.arange(ms), n)

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, basis_table
 from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
-from .problems import UrysohnProblem, _integral, _like, _two_piece, apply_K, kernel_eval
+from .problems import UrysohnProblem, _integral, _like, _two_piece, apply_K
 
 __all__ = [
     "SolveOptions",
@@ -156,20 +156,16 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     inner = gauss_rule(opts.quad_points)
     outer = gauss_rule(max(r, 10))
     nodes, to_coeffs = _projection_stencil(mesh, r, outer)
-    applier = SplitOperator(mesh, inner, nodes)
-    # The Newton matrix takes the inner rule's cell nodes as its points;
-    # with the default rules they are the projection nodes.
-    assembler = (applier if outer.p == inner.p
-                 else SplitOperator(mesh, inner, _cell_nodes(mesh, inner)))
+    op = SplitOperator(mesh, inner, nodes)
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
 
     def value(coeffs):
         x = PiecewisePoly(mesh, r, coeffs)
-        return to_coeffs(_integral(prob.kernel, applier, x)) + f_coeffs
+        return to_coeffs(_integral(prob.kernel, op, x)) + f_coeffs
 
     def jacobian(coeffs):
-        return _assemble(prob, assembler, PiecewisePoly(mesh, r, coeffs), r)
+        return _assemble(prob, op, PiecewisePoly(mesh, r, coeffs), r, outer)
 
     c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
                                      lambda coeffs: PiecewisePoly(mesh, r, coeffs))
@@ -262,7 +258,7 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     The inner integral splits at the diagonal t = s; the outer one is
     per-cell Gauss with the same rule.
     """
-    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), x, r)
+    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), x, r, rule)
 
 
 def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
@@ -270,15 +266,16 @@ def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
     return (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
 
 
-def _assemble(prob: UrysohnProblem, op: SplitOperator, x: PiecewisePoly, r: int) -> np.ndarray:
+def _assemble(prob: UrysohnProblem, op: SplitOperator, x: PiecewisePoly, r: int,
+              outer: GaussRule) -> np.ndarray:
     """assemble_linearized on an operator whose points are the cell nodes of
-    its rule: the outer rule's weights times the row basis are the test
-    weights of those points."""
+    the outer rule: its weights times the row basis are the test weights of
+    those points."""
     kern = prob.kernel
     kern.require_first_derivative()
-    mesh, rule = op.mesh, op.rule
+    mesh = op.mesh
     inv_sqrt_h = 1.0 / math.sqrt(mesh.h)
-    test = mesh.h * inv_sqrt_h * rule.weights[:, None] * basis_table(r, rule.nodes)
+    test = mesh.h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes)
     return op.matrix(kern.du_kappa1, kern.du_kappa2, x, test,
                      lambda tau: inv_sqrt_h * basis_table(r, tau))
 
@@ -334,7 +331,7 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     s_grid, t_grid = np.meshgrid(mids, mids, indexing="ij")
 
     def value(xv):
-        k_mat = kernel_eval(kern, s_grid, t_grid, xv)  # xv[j] at t_j in every row
+        k_mat = _two_piece(kern.kappa1, kern.kappa2, s_grid, t_grid, xv)  # xv[j] at t_j
         return h * k_mat.sum(axis=1) + f_mid
 
     def jacobian(xv):

@@ -209,8 +209,7 @@ def test_criterion_6_property_suite():
     uu = np.linspace(-2, 2, 20)
     sg, ug = np.meshgrid(s, uu, indexing="ij")
     kern = ham.kernel
-    for lo, hi in ((kern.kappa1, kern.kappa2), (kern.du_kappa1, kern.du_kappa2),
-                   (kern.du2_kappa1, kern.du2_kappa2)):
+    for lo, hi in ((kern.kappa1, kern.kappa2), (kern.du_kappa1, kern.du_kappa2)):
         if np.max(np.abs(lo(sg, sg, ug) - hi(sg, sg, ug))) > 1e-12:
             failures.append("kernel diagonal continuity")
 

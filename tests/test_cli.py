@@ -60,7 +60,8 @@ def test_bad_config_file_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override", [{"r": "2"}, {"params": {"gamma": 0}},
-                                      {"params": {"gamma": 705}}])
+                                      {"params": {"gamma": 705}}, {"params": {"gamma": 703.5}},
+                                      {"params": {"gamma": 703.9}}])
 def test_wrongly_typed_or_invalid_config_exits_3_without_traceback(tmp_path, capsys, override):
     cfg = {"problem_id": "paper-hammerstein", "n_sequence": [4, 8], **override}
     path = tmp_path / "bad.json"

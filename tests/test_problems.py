@@ -43,27 +43,22 @@ def test_kernel_factor_on_diagonal(hammerstein):
     factor = np.sinh(gamma / 2) ** 2 / (gamma * np.sinh(gamma))
     for uu in (0.0, 0.7, 1.0):
         psi = gamma ** 2 * uu - 2 * uu ** 3
-        got = u.kernel_eval(hammerstein.kernel, 0.5, 0.5, uu)
-        assert got == pytest.approx(factor * psi, abs=1e-14)
+        for piece in (hammerstein.kernel.kappa1, hammerstein.kernel.kappa2):
+            assert piece(0.5, 0.5, uu) == pytest.approx(factor * psi, abs=1e-14)
     assert factor == pytest.approx(0.1355, abs=5e-4)
 
 
 def test_kernel_vanishes_on_boundary(hammerstein):
-    for t in (0.1, 0.5, 0.9):
-        assert u.kernel_eval(hammerstein.kernel, 0.0, t, 1.0) == pytest.approx(0.0, abs=1e-15)
-        assert u.kernel_eval(hammerstein.kernel, 1.0, t, 1.0) == pytest.approx(0.0, abs=1e-15)
+    # each piece on its own triangle: s = 0 sees only kappa2, s = 1 only kappa1
+    for t in (0.0, 0.1, 0.5, 0.9, 1.0):
+        assert hammerstein.kernel.kappa2(0.0, t, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert hammerstein.kernel.kappa1(1.0, t, 1.0) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_zero_kernel_everywhere(zero_kernel):
     s, t = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 7), indexing="ij")
-    assert np.max(np.abs(u.kernel_eval(zero_kernel.kernel, s, t, 3.0))) == 0.0
-
-
-def test_kernel_eval_rejects_outside_square(hammerstein):
-    with pytest.raises(ValueError):
-        u.kernel_eval(hammerstein.kernel, -0.1, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        u.kernel_eval(hammerstein.kernel, 0.5, 1.1, 1.0)
+    for piece in (zero_kernel.kernel.kappa1, zero_kernel.kernel.kappa2):
+        assert np.max(np.abs(np.broadcast_to(piece(s, t, 3.0), s.shape))) == 0.0
 
 
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green", "zero-kernel"])
@@ -72,11 +67,7 @@ def test_diagonal_continuity_of_all_pieces(problem_id):
     s = np.linspace(0, 1, 50)
     uu = np.linspace(-2, 2, 20)
     sg, ug = np.meshgrid(s, uu, indexing="ij")
-    for lo, hi in (
-        (kern.kappa1, kern.kappa2),
-        (kern.du_kappa1, kern.du_kappa2),
-        (kern.du2_kappa1, kern.du2_kappa2),
-    ):
+    for lo, hi in ((kern.kappa1, kern.kappa2), (kern.du_kappa1, kern.du_kappa2)):
         gap = np.max(np.abs(lo(sg, sg, ug) - hi(sg, sg, ug)))
         assert gap < 1e-12
 
@@ -87,22 +78,13 @@ def test_u_derivative_pieces_match_finite_differences(hammerstein):
     pts = rng.uniform(0, 1, size=(12, 2))
     us = rng.uniform(-1.5, 1.5, size=12)
     for (s, t), uu in zip(pts, us):
-        piece, dpiece, d2piece = (
-            (kern.kappa1, kern.du_kappa1, kern.du2_kappa1)
-            if t <= s
-            else (kern.kappa2, kern.du_kappa2, kern.du2_kappa2)
-        )
+        piece, dpiece = (kern.kappa1, kern.du_kappa1) if t <= s else (kern.kappa2, kern.du_kappa2)
         errs1 = []
         for eps in (1e-3, 1e-4):
             fd1 = (piece(s, t, uu + eps) - piece(s, t, uu - eps)) / (2 * eps)
             errs1.append(abs(fd1 - dpiece(s, t, uu)))
         if errs1[1] > 1e-13:
             assert np.log10(errs1[0] / errs1[1]) >= 1.9
-        # u-dependence is cubic, so the second central difference is exact
-        # up to roundoff: compare values instead of rates
-        eps = 1e-3
-        fd2 = (piece(s, t, uu + eps) - 2 * piece(s, t, uu) + piece(s, t, uu - eps)) / eps ** 2
-        assert fd2 == pytest.approx(d2piece(s, t, uu), abs=1e-6)
 
 
 # --- operator applications ---------------------------------------------------
@@ -141,7 +123,6 @@ def test_operator_calls_take_scalar_or_array(hammerstein, rule16):
     calls = {
         "apply_K": lambda s: u.apply_K(hammerstein, x, s, rule16, mesh),
         "apply_Kprime": lambda s: u.apply_Kprime(hammerstein, x, v, s, rule16, mesh),
-        "apply_Ksecond": lambda s: u.apply_Ksecond(hammerstein, x, v, w, s, rule16, mesh),
         "manufactured_f": lambda s: u.manufactured_f(hammerstein.kernel, w, s, rule16, mesh),
         "residual": lambda s: u.residual(hammerstein, x, s, rule16, mesh),
         "iterated_eval": lambda s: u.iterated_eval(hammerstein, sol, s, rule16),
@@ -190,24 +171,6 @@ def test_apply_Kprime_matches_directional_difference(hammerstein, rule16):
     assert np.log10(errs[0] / errs[1]) >= 1.9
 
 
-def test_apply_Ksecond_multilinear_and_taylor(hammerstein, rule16):
-    mesh = u.make_mesh(6)
-    x = hammerstein.exact
-    zero = lambda t: np.zeros_like(t)
-    v = lambda t: np.cos(3 * t)
-    s = 0.35
-    assert u.apply_Ksecond(hammerstein, x, zero, v, s, rule16, mesh) == 0.0
-    # second derivative kernel of the benchmark is kappa(s,t) * (-12 x(t))
-    base = u.apply_K(hammerstein, x, s, rule16, mesh)
-    d1 = u.apply_Kprime(hammerstein, x, v, s, rule16, mesh)
-    d2 = u.apply_Ksecond(hammerstein, x, v, v, s, rule16, mesh)
-    errs = []
-    for eps in (1e-2, 1e-3):
-        up = u.apply_K(hammerstein, lambda t: x(t) + eps * v(t), s, rule16, mesh)
-        errs.append(abs(up - base - eps * d1 - 0.5 * eps ** 2 * d2))
-    assert np.log10(errs[0] / errs[1]) >= 2.7
-
-
 def test_missing_derivative_pieces_raise():
     mesh, rule = u.make_mesh(2), u.gauss_rule(4)
     v = lambda t: np.ones_like(t)
@@ -216,8 +179,6 @@ def test_missing_derivative_pieces_raise():
         prob = u.UrysohnProblem(kern, f=lambda s: 0.0 * s)
         with pytest.raises(MissingDerivativeError):
             u.apply_Kprime(prob, v, v, 0.5, rule, mesh)
-        with pytest.raises(MissingDerivativeError):
-            u.apply_Ksecond(prob, v, v, v, 0.5, rule, mesh)
 
 
 def test_operator_derivative_bounded_by_kernel_sup(hammerstein, rule10):
@@ -241,8 +202,7 @@ def test_operator_derivative_bounded_by_kernel_sup(hammerstein, rule10):
 def generic_twin(kernel):
     """The same kernel as a plain GreenKernel of its derived pieces, which
     the operator calls integrate on the split panels, not by prefix sums."""
-    return u.GreenKernel(kernel.kappa1, kernel.kappa2, kernel.du_kappa1, kernel.du_kappa2,
-                         kernel.du2_kappa1, kernel.du2_kappa2)
+    return u.GreenKernel(kernel.kappa1, kernel.kappa2, kernel.du_kappa1, kernel.du_kappa2)
 
 
 @pytest.mark.parametrize("problem_id, gamma", [
@@ -251,7 +211,7 @@ def generic_twin(kernel):
     ("zero-kernel", None),
 ])
 def test_prefix_sums_match_split_panels(problem_id, gamma):
-    """K, K'v, K''(v, w) and the manufactured f of every built-in problem by
+    """K, K'v and the manufactured f of every built-in problem by
     prefix sums against the split-panel path, for x on the same mesh, on
     another mesh and as a callable, at unsorted s with both ends and every
     partition point.  Relative tolerance 1e-13; f = x - K(x) is held to
@@ -261,7 +221,7 @@ def test_prefix_sums_match_split_panels(problem_id, gamma):
     assert isinstance(prob.kernel, u.HammersteinKernel)
     slow = u.UrysohnProblem(generic_twin(prob.kernel), prob.f)
     phi = lambda t: 1.0 / (1.0 + t)
-    v, w = (lambda t: 1.0 + t * t), (lambda t: np.exp(-t))
+    v = lambda t: 1.0 + t * t
     for r in (1, 2, 3):
         rule = u.gauss_rule(2 * r + 2)
         for n in (1, 3, 16):
@@ -271,7 +231,6 @@ def test_prefix_sums_match_split_panels(problem_id, gamma):
                 calls = {
                     "K": lambda q: u.apply_K(q, x, s, rule, mesh),
                     "K'v": lambda q: u.apply_Kprime(q, x, v, s, rule, mesh),
-                    "K''(v,w)": lambda q: u.apply_Ksecond(q, x, v, w, s, rule, mesh),
                     "f": lambda q: u.manufactured_f(q.kernel, x, s, rule, mesh),
                 }
                 for name, call in calls.items():
@@ -396,6 +355,8 @@ def test_problem_ids_and_unknowns():
     ("linear-green", [("scale", 2.0)]),
     ("paper-hammerstein", {"gamma": 705.0}),
     ("linear-green", {"gamma": 1e4}),
+    ("paper-hammerstein", {"gamma": 703.5}),  # a finite scale, but f(0) is NaN
+    ("paper-hammerstein", {"gamma": 703.9}),
 ])
 def test_bad_problem_parameters_are_config_errors(problem_id, params):
     with pytest.raises(ConfigError):
@@ -410,6 +371,13 @@ def test_largest_gamma_below_overflow_still_solves():
     values = u.iterated_at_partition(prob, sol, u.gauss_rule(10)).values
     assert sol.iterations < 10 and np.all(np.isfinite(values))
     assert np.any(values != prob.f(u.make_mesh(4).points))  # the kernel is not zero
+
+
+def test_gamma_with_finite_right_hand_side_still_solves():
+    # 703.5 makes f(0) NaN (a ConfigError above); 703 keeps f finite
+    prob = u.get_problem("paper-hammerstein", {"gamma": 703.0})
+    sol = u.solve_galerkin(prob, u.make_mesh(4), 1, u.SolveOptions(method="newton"))
+    assert np.all(np.isfinite(u.iterated_at_partition(prob, sol, u.gauss_rule(10)).values))
 
 
 def test_gamma_override_changes_kernel():

@@ -4,7 +4,8 @@ from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 
 import urysohn as u
-from urysohn.quadrature import SplitOperator
+from urysohn.quadrature import _CHUNK, SplitOperator
+from urysohn.solver import _assemble, _cell_nodes
 
 GAMMA = np.sqrt(12.0)
 
@@ -223,19 +224,26 @@ def cell_basis(mesh, r, t):
     return u.basis_table(r, (t - mesh.points[cells]) / mesh.h) / np.sqrt(mesh.h)
 
 
-def dense_matrix(fn1, fn2, x, mesh, r, rule):
+def dense_matrix(fn1, fn2, x, mesh, r, rule, outer=None):
     """Brute-force Newton matrix: the integrals of every column basis
-    function at the rule's nodes in every cell by dense_split, summed
-    against the row basis with the outer rule's weights."""
-    n = mesh.n
-    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    function by dense_split with the inner rule, at the outer rule's nodes
+    in every cell (the inner rule's by default), summed against the row
+    basis with the outer rule's weights."""
+    n, outer = mesh.n, outer or rule
+    nodes = (mesh.points[:-1, None] + mesh.h * outer.nodes).ravel()
     inner = np.stack([dense_split(
         lambda s, t, xv, b=b: fn1(s, t, xv) * cell_basis(mesh, r, t)[..., b],
         lambda s, t, xv, b=b: fn2(s, t, xv) * cell_basis(mesh, r, t)[..., b],
-        x, nodes, mesh, rule) for b in range(r)], axis=2)  # (n p, n, r)
-    test = mesh.h * rule.weights[:, None] * u.basis_table(r, rule.nodes) / np.sqrt(mesh.h)
-    mat = np.einsum("pa,jpkb->jakb", test, inner.reshape(n, rule.p, n, r))
+        x, nodes, mesh, rule) for b in range(r)], axis=2)  # (n m, n, r)
+    test = mesh.h * outer.weights[:, None] * u.basis_table(r, outer.nodes) / np.sqrt(mesh.h)
+    mat = np.einsum("pa,jpkb->jakb", test, inner.reshape(n, outer.p, n, r))
     return mat.reshape(n * r, n * r)
+
+
+def other_points_matrix(prob, x, mesh, r, rule, outer):
+    """The Newton matrix as a solve assembles it: on an operator of the
+    inner rule whose points are the outer rule's nodes in every cell."""
+    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, outer)), x, r, outer)
 
 
 def tree_points(mesh):
@@ -306,7 +314,9 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
     """Pieces that oscillate in s too fast for the probe on the wide blocks:
     those blocks are evaluated at their targets, more than one kernel call's
     worth of nodes at a time, the narrow ones are still interpolated, and K
-    and the Newton matrix match the dense oracles."""
+    and the Newton matrix match the dense oracles.  The matrix also on 10
+    points per cell with a 7-point inner rule, its top level in several
+    chunks of whole target cells."""
     fn1 = lambda s, t, x: np.cos(200.0 * s + t) * x
     fn2 = lambda s, t, x: np.sin(200.0 * s - t) * x
     mesh, rule = u.make_mesh(32), u.gauss_rule(6)
@@ -325,3 +335,40 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
     got = u.assemble_linearized(prob, x, mesh, 2, rule)
     want = dense_matrix(fn1, fn2, x, mesh, 2, rule)
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    rule, outer = u.gauss_rule(7), u.gauss_rule(10)
+    op = SplitOperator(mesh, rule, _cell_nodes(mesh, outer))
+    top = op._tree[0][0]
+    assert not op._ranks(fn1, fn2, x(op.t))[0][1].any()
+    assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
+    got = other_points_matrix(prob, x, mesh, 2, rule, outer)
+    want = dense_matrix(fn1, fn2, x, mesh, 2, rule, outer)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("gamma", [np.sqrt(12.0), 40.0])
+@pytest.mark.parametrize("n, r, p, m", [(1, 2, 7, 10), (16, 2, 7, 10), (80, 1, 10, 4),
+                                        (16, 3, 12, 9)])
+def test_newton_matrix_on_points_of_another_rule(gamma, n, r, p, m):
+    """m points per cell from a rule other than the inner p-point one, more
+    or fewer: the matrix against the dense oracle within 1e-13 relative
+    and 1e-13 of its largest entry."""
+    mesh, rule, outer = u.make_mesh(n), u.gauss_rule(p), u.gauss_rule(m)
+    kern = urysohn_kernel(gamma)
+    x = u.project(lambda t: 1.0 / (1.0 + t), mesh, r)
+    got = other_points_matrix(u.UrysohnProblem(kern, f=np.cos), x, mesh, r, rule, outer)
+    want = dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule, outer)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_matrix_rejects_points_that_are_not_the_same_nodes_in_every_cell():
+    mesh, rule, r = u.make_mesh(4), u.gauss_rule(5), 2
+    nodes = _cell_nodes(mesh, u.gauss_rule(3))
+    moved = nodes.copy()
+    moved[7] += 1e-3  # one node of cell 2 off its place
+    fn, test = (lambda s, t, x: s * t * x), np.ones((3, r))
+    basis = lambda tau: u.basis_table(r, tau)
+    for points in (moved, nodes[::-1], nodes[:-1], np.append(nodes, 0.5)):
+        with pytest.raises(ValueError, match="same 3 nodes"):
+            SplitOperator(mesh, rule, points).matrix(fn, fn, np.exp, test, basis)
+    assert SplitOperator(mesh, rule, nodes).matrix(fn, fn, np.exp, test, basis).shape == (8, 8)

@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 from scipy.optimize import fsolve
@@ -49,8 +51,8 @@ def test_picard_newton_and_direct_solve_agree(linear_green):
 
 
 def test_newton_with_its_own_inner_rule_agrees_with_picard():
-    # quad_points unlike the projection rule gives the Newton matrix an
-    # operator of its own, on the inner rule's cell nodes
+    # quad_points unlike the projection rule: the Newton matrix is assembled
+    # on the solve's one operator, at the projection nodes
     kern = u.get_problem("paper-hammerstein").kernel
     prob = u.UrysohnProblem(u.GreenKernel(kern.kappa1, kern.kappa2, kern.du_kappa1,
                                           kern.du_kappa2), f=lambda s: 1.0 + s * s)
@@ -59,6 +61,20 @@ def test_newton_with_its_own_inner_rule_agrees_with_picard():
     newton = u.solve_galerkin(prob, u.make_mesh(12), 2, u.SolveOptions(method="newton", **opts))
     assert newton.iterations < 8
     assert np.max(np.abs(picard.x_g.coeffs - newton.x_g.coeffs)) < 1e-11
+
+
+@pytest.mark.parametrize("r", [2, 12])
+def test_solve_builds_one_operator(monkeypatch, r):
+    # the applies and the Newton matrix share one operator (one cell tree),
+    # also when the inner rule is not the projection rule
+    built = []
+    init = SplitOperator.__init__
+    monkeypatch.setattr(SplitOperator, "__init__",
+                        lambda self, *args: built.append(init(self, *args)))
+    prob = u.get_problem("paper-hammerstein", rhs_mode="paper")  # f needs no operator
+    sol = u.solve_galerkin(prob, u.make_mesh(4), r,
+                           u.SolveOptions(method="newton", quad_points=7))
+    assert sol.iterations > 1 and len(built) == 1
 
 
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green", "zero-kernel"])
@@ -247,6 +263,18 @@ def test_galerkin_orthogonality(hammerstein, rule16):
     assert np.max(np.abs(coeffs)) < 10 * tol
 
 
+@settings(derandomize=True, deadline=None, max_examples=12)
+@given(n=st.integers(1, 8), r=st.integers(1, 3), scale=st.floats(-2.0, 2.0))
+def test_residual_is_orthogonal_to_the_cell_basis(rule10, n, r, scale):
+    # Galerkin orthogonality: the projection of x_g - K(x_g) - f onto the
+    # cell basis is the last Picard update, at most about tol
+    prob = u.get_problem("linear-green", {"scale": scale})
+    mesh, tol = u.make_mesh(n), 1e-12
+    sol = u.solve_galerkin(prob, mesh, r, u.SolveOptions(tol=tol))
+    resid = u.project(lambda t: u.residual(prob, sol.x_g, t, rule10, mesh), mesh, r)
+    assert np.max(np.abs(resid.coeffs)) < 10 * tol
+
+
 def test_iterated_matches_f_at_interval_ends(hammerstein, rule10):
     # the Green's kernel vanishes at s in {0, 1}, so the operator adds nothing
     for n in (4, 9):
@@ -288,6 +316,22 @@ def test_richardson_cancels_leading_term_exactly():
         out = u.richardson(coarse, fine, 1)
         expected = 1.0 - h ** 4 / 4.0
         assert np.max(np.abs(out.values - expected)) < 1e-15
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(n=st.integers(1, 40), r=st.integers(1, 4),
+       a=st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+def test_richardson_removes_an_h_to_the_2r_term(n, r, a):
+    # values g(t_i) + c(t_i) h^(2r) on meshes n and 2n give back g at the
+    # coarse points, up to roundoff
+    g = lambda t: a[0] + a[1] * np.sin(3.0 * t)
+    c = lambda t: a[2] + a[3] * np.cos(5.0 * t)
+    levels = [u.make_mesh(k) for k in (n, 2 * n)]
+    coarse, fine = (u.PartitionValues(mesh, g(mesh.points) + c(mesh.points) * mesh.h ** (2 * r))
+                    for mesh in levels)
+    out = u.richardson(coarse, fine, r)
+    roundoff = 8 * np.finfo(float).eps * (np.abs(coarse.values).max() + np.abs(fine.values).max())
+    np.testing.assert_allclose(out.values, g(levels[0].points), rtol=0, atol=roundoff)
 
 
 def test_richardson_rejects_non_nested_meshes():
