@@ -52,6 +52,10 @@ class UniformMesh:
         idx = np.searchsorted(self.points, s, side=kind) - 1
         return np.clip(idx, 0, self.n - 1)
 
+    def local(self, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The coordinates of t in the given cells, mapped and clipped to [0, 1]."""
+        return np.clip((t - self.points[cells]) / self.h, 0.0, 1.0)
+
 
 def make_mesh(n: int) -> UniformMesh:
     """Uniform mesh with n cells."""
@@ -110,8 +114,11 @@ class PiecewisePoly:
 
     def eval_on_cells(self, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """Evaluate using given cell indices (t assumed inside those cells)."""
-        tau = (t - self.mesh.points[cells]) / self.mesh.h
-        table = basis_table(self.r, np.clip(tau, 0.0, 1.0))
+        return self.eval_on_table(basis_table(self.r, self.mesh.local(t, cells)), cells)
+
+    def eval_on_table(self, table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """Evaluate at points of the given cells whose basis values,
+        ``basis_table`` at their local coordinates, are ``table``."""
         return np.einsum("...q,...q->...", self.coeffs[cells], table) / math.sqrt(self.mesh.h)
 
     def __call__(self, s):

@@ -85,7 +85,7 @@ class HammersteinKernel(_TwoPieces):
     ``dpsi`` take (t, u).  The pieces ``kappa1/2`` and ``du_kappa1/2`` of a
     GreenKernel are derived from them, so every generic consumer takes this
     kernel too, while the operator calls integrate it by prefix sums
-    (``SplitOperator.apply_separable``) in O(n p + S p), not O(S n p).
+    (``SplitOperator.separable``) in O(n p + S p), not O(S n p).
     """
 
     a1: Callable
@@ -137,36 +137,41 @@ def _like(s, values):
     return float(out) if out.ndim == 0 else out
 
 
-def _integral(kernel, op: SplitOperator, x, v=None) -> np.ndarray:
-    """At every point s of ``op``: K(x), the integral over t of kappa(s, t,
-    x(t)), or with v given K'(x)v, that of du kappa(s, t, x(t)) v(t).  A
-    HammersteinKernel is integrated by prefix sums, any other kernel on
+def _times(fn, v):
+    """fn(..., t, u) v(t), for fn a u-derivative piece or dpsi."""
+    return lambda *args: fn(*args) * _sampled(v, args[-2])
+
+
+def _bind_integral(kernel, op: SplitOperator) -> Callable:
+    """The function (x, v=None) -> at every point s of ``op``, K(x), the
+    integral over t of kappa(s, t, x(t)), or with v given K'(x)v, that of
+    du kappa(s, t, x(t)) v(t).  A HammersteinKernel is integrated by prefix
+    sums, with its Green's factors sampled here once, any other kernel on
     the split panels."""
     if isinstance(kernel, HammersteinKernel):
-        g = kernel.psi if v is None else (lambda t, xv: kernel.dpsi(t, xv) * _sampled(v, t))
-        return op.apply_separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2, g, x)
-    if v is None:
-        return op.apply(kernel.kappa1, kernel.kappa2, x)
-    return op.apply(lambda s, t, xv: kernel.du_kappa1(s, t, xv) * _sampled(v, t),
-                    lambda s, t, xv: kernel.du_kappa2(s, t, xv) * _sampled(v, t), x)
+        separable = op.separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2)
+        return lambda x, v=None: separable(kernel.psi if v is None else _times(kernel.dpsi, v), x)
+    return lambda x, v=None: (
+        op.apply(kernel.kappa1, kernel.kappa2, x) if v is None
+        else op.apply(_times(kernel.du_kappa1, v), _times(kernel.du_kappa2, v), x))
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
     """The integral operator: integral_0^1 kappa(s, t, x(t)) dt."""
-    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x))
+    return _like(s, _bind_integral(prob.kernel, SplitOperator(mesh, rule, s))(x))
 
 
 def apply_Kprime(prob: UrysohnProblem, x, v, s, rule: GaussRule, mesh: UniformMesh):
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
     prob.kernel.require_first_derivative()
-    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, v))
+    return _like(s, _bind_integral(prob.kernel, SplitOperator(mesh, rule, s))(x, v))
 
 
 def manufactured_f(kernel, phi, s, rule: GaussRule, mesh: UniformMesh):
     """f(s) := phi(s) - integral kappa(s, t, phi(t)) dt, so that phi solves the
     problem exactly up to quadrature error."""
-    k_vals = _integral(kernel, SplitOperator(mesh, rule, s), phi)
+    k_vals = _bind_integral(kernel, SplitOperator(mesh, rule, s))(phi)
     return _like(s, _sampled(phi, s) - k_vals.reshape(np.shape(s)))
 
 

@@ -5,7 +5,7 @@ mesh points and at t = s."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,16 +48,24 @@ class GaussRule:
 
 
 def gauss_rule(p: int) -> GaussRule:
-    """Build the p-point Gauss-Legendre rule on [0, 1], exact to degree 2p - 1."""
+    """The p-point Gauss-Legendre rule on [0, 1], exact to degree 2p - 1, built once."""
     p = int(p)
     if not 1 <= p <= MAX_POINTS:
         raise ValueError(f"rule size must be in [1, {MAX_POINTS}], got {p}")
+    return _gauss_rule(p)
+
+
+@cache
+def _gauss_rule(p: int) -> GaussRule:
     x, w = np.polynomial.legendre.leggauss(p)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
-    return GaussRule(p, nodes, weights)
+    return GaussRule(p, *_frozen(0.5 * (x + 1.0), 0.5 * w))
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _sampled(g, t) -> np.ndarray:
@@ -147,7 +155,9 @@ class SplitOperator:
     The geometry is built once: the regular (n, p) node grid ``t`` with the
     panel weights ``w`` shared by every cell, the split cell ``cells`` of
     each s, and its sub-panel nodes ``t_sub`` (S, 2p) with weights ``w_sub``
-    (first p columns on [t_j, s], last p on [s, t_{j+1}]).
+    (first p columns on [t_j, s], last p on [s, t_{j+1}]).  So are, on
+    first use for each order r of x, the basis tables of both node sets.
+    The operator keeps only such arrays, which do not depend on x, read-only.
 
     The regular cells are reached through an even bisection of the cells
     into a binary tree, built on the first split-panel call.  At each node
@@ -179,13 +189,28 @@ class SplitOperator:
                                      col + (hi - col) * rule.nodes], axis=1)
         self.w_sub = np.concatenate([(col - lo) * rule.weights,
                                      (hi - col) * rule.weights], axis=1)
+        grid_cells = np.arange(mesh.n)[:, None]
+        _frozen(self.s, self.cells, self.t, self.w, self.t_sub, self.w_sub, grid_cells)
+        self._nodes = ((self.t, grid_cells), (self.t_sub, cells[:, None]))
+        self._tables = {}
 
-    def _sample(self, x, t, cells):
-        """x at nodes t lying in the given cells.  A piecewise polynomial on
-        this mesh is evaluated on those cells (its one-sided value at a cell
-        edge); anything else is called."""
+    def basis(self, r: int):
+        """``basis_table`` of order r at the clipped cell-local coordinates
+        of the node grid (n, p, r) and of the sub-panel nodes (S, 2p, r),
+        built on the first call for each r."""
+        from .piecewise import basis_table  # piecewise imports this module
+        if r not in self._tables:
+            self._tables[r] = _frozen(*(basis_table(r, self.mesh.local(t, cells))
+                                        for t, cells in self._nodes))
+        return self._tables[r]
+
+    def _sample(self, x, sub: bool):
+        """x at the node grid, or with ``sub`` at the sub-panel nodes.  A
+        piecewise polynomial on this mesh is read from their basis table (its
+        one-sided value at a cell edge); anything else is called."""
+        t, cells = self._nodes[sub]
         if getattr(getattr(x, "mesh", None), "n", None) == self.mesh.n:
-            return x.eval_on_cells(t, cells)
+            return x.eval_on_table(self.basis(x.r)[sub], cells)
         return _sampled(x, t)
 
     @cached_property
@@ -272,8 +297,8 @@ class SplitOperator:
         ``col[i]``, and the nodes come in chunks of a multiple of m (whole
         cells when each holds m targets), ``values`` holding nodes
         ``start`` onwards."""
-        n, p = self.mesh.n, self.rule.p
-        x_reg = self._sample(x, self.t, np.arange(n)[:, None])
+        p = self.rule.p
+        x_reg = self._sample(x, sub=False)
         for lev, (q, interp) in zip(self._tree[0], self._ranks(fn1, fn2, x_reg)):
             size = int(lev.count[~interp].max(initial=0))
             weighted = interp.any() and size <= 2 * q
@@ -309,7 +334,7 @@ class SplitOperator:
         """fn1 on [t_j, s] and fn2 on [s, t_{j+1}], (S, 2p) in the layout of
         ``t_sub``."""
         p = self.rule.p
-        x_sub = self._sample(x, self.t_sub, self.cells[:, None])
+        x_sub = self._sample(x, sub=True)
         col, shape = self.s[:, None], (self.s.size, p)
         return np.concatenate([_piece(fn1, col, self.t_sub[:, :p], x_sub[:, :p], shape),
                                _piece(fn2, col, self.t_sub[:, p:], x_sub[:, p:], shape)], axis=1)
@@ -335,26 +360,24 @@ class SplitOperator:
 
         The points must be the same m nodes in every cell, cell by cell;
         ``test`` (m, r) holds the row weights of the m nodes of a cell and
-        ``basis`` maps cell-local coordinates in [0, 1] to the r column
-        basis values.  A far-field block enters as a rank-Q product: the
-        test sums of the interpolation weights on its target cells times fn
-        at the Chebyshev points against the basis on its source cells.  Only
-        the diagonal blocks use the sub-panels.
+        ``basis`` the r column basis values at the sub-panel nodes (S, 2p,
+        r) and at the rule's nodes (p, r).  A far-field block enters as a
+        rank-Q product: the test sums of the interpolation weights on its
+        target cells times fn at the Chebyshev points against the basis on
+        its source cells.  Only the diagonal blocks use the sub-panels.
         """
-        n, h = self.mesh.n, self.mesh.h
-        m, r = test.shape
+        n, (m, r) = self.mesh.n, test.shape
         offset = self.s - self.mesh.points[self.cells]
         if (self.s.size != n * m or np.any(self.cells != np.repeat(np.arange(n), m))
                 or np.ptp(offset.reshape(n, m), axis=0).max() > 1e-13):
             raise ValueError(f"matrix needs the same {m} nodes in every cell as its points")
-        tau = np.clip((self.t_sub - self.mesh.points[self.cells][:, None]) / h, 0.0, 1.0)
-        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub, basis(tau))
+        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub, basis[0])
         # one spare cell past the last takes the padding of smaller blocks
         mat = np.zeros((n + 1, r, n + 1, r))
         mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, m, r)
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
-        regular = self.w[:, None] * basis(self.rule.nodes)  # (p, r)
+        regular = self.w[:, None] * basis[1]  # (p, r)
         for lev, start, weights, values in self._far_field(fn1, fn2, x, regular, m):
             m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
             ms, (cells, nodes) = m_s.max(), values.shape[:2]
@@ -379,29 +402,32 @@ class SplitOperator:
                                                                     ms * r)
         return mat[:n * r, :n * r]
 
-    def apply_separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:
-        """Integral of a1(s) b1(t) g(t, x(t)) over [0, s] plus a2(s) b2(t)
-        g(t, x(t)) over [s, 1], at every s, by prefix sums.
+    def separable(self, a1, b1, a2, b2):
+        """The function (g, x) -> integral of a1(s) b1(t) g(t, x(t)) over
+        [0, s] plus a2(s) b2(t) g(t, x(t)) over [s, 1], at every s, by
+        prefix sums.  The four factors are sampled here, once.
 
         The cells left of the split cell enter through a cumulative sum of
         the cell integrals of b1 g, those right of it through a reversed
-        one of b2 g; only the two sub-panels depend on s.  Cost: n p + 2 p S
-        evaluations and no (S, n, p) block.
+        one of b2 g; only the two sub-panels depend on s.  Cost per call: g
+        at n p + 2 p S points and no (S, n, p) block.
         """
-        p, n = self.rule.p, self.mesh.n
+        p = self.rule.p
+        b1_reg, b2_reg = _sampled(b1, self.t), _sampled(b2, self.t)  # (n, p)
+        b1_sub, b2_sub = _sampled(b1, self.t_sub[:, :p]), _sampled(b2, self.t_sub[:, p:])
+        a1_s, a2_s = _sampled(a1, self.s), _sampled(a2, self.s)
 
-        def weighted_g(t, cells, w):
-            return np.asarray(g(t, self._sample(x, t, cells)), dtype=float) * w
+        def integrate(g, x) -> np.ndarray:
+            g_reg = np.asarray(g(self.t, self._sample(x, sub=False)), dtype=float) * self.w
+            g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
+            # before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g
+            before = np.concatenate(([0.0], np.cumsum((b1_reg * g_reg).sum(axis=1))))
+            after = np.concatenate((np.cumsum((b2_reg * g_reg).sum(axis=1)[::-1])[::-1], [0.0]))
+            left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
+            right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
+            return a1_s * left + a2_s * right
 
-        g_reg = weighted_g(self.t, np.arange(n)[:, None], self.w)  # (n, p)
-        g_sub = weighted_g(self.t_sub, self.cells[:, None], self.w_sub)  # (S, 2p)
-        # before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g
-        before = np.concatenate(([0.0], np.cumsum((_sampled(b1, self.t) * g_reg).sum(axis=1))))
-        after = np.concatenate((np.cumsum((_sampled(b2, self.t) * g_reg).sum(axis=1)[::-1])[::-1],
-                                [0.0]))
-        left = before[self.cells] + (_sampled(b1, self.t_sub[:, :p]) * g_sub[:, :p]).sum(1)
-        right = after[self.cells + 1] + (_sampled(b2, self.t_sub[:, p:]) * g_sub[:, p:]).sum(1)
-        return _sampled(a1, self.s) * left + _sampled(a2, self.s) * right
+        return integrate
 
 
 def _piece(fn, s, t, xv, shape):

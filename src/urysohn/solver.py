@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, basis_table
-from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
-from .problems import UrysohnProblem, _integral, _like, _two_piece, apply_K
+from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _frozen, _sampled, gauss_rule
+from .problems import UrysohnProblem, _bind_integral, _like, _two_piece, apply_K
 
 __all__ = [
     "SolveOptions",
@@ -159,13 +159,14 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     op = SplitOperator(mesh, inner, nodes)
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
+    integral = _bind_integral(prob.kernel, op)
+    matrix = _bind_matrix(prob, op, r, outer) if opts.method == "newton" else None
 
     def value(coeffs):
-        x = PiecewisePoly(mesh, r, coeffs)
-        return to_coeffs(_integral(prob.kernel, op, x)) + f_coeffs
+        return to_coeffs(integral(PiecewisePoly(mesh, r, coeffs))) + f_coeffs
 
     def jacobian(coeffs):
-        return _assemble(prob, op, PiecewisePoly(mesh, r, coeffs), r, outer)
+        return matrix(PiecewisePoly(mesh, r, coeffs))
 
     c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
                                      lambda coeffs: PiecewisePoly(mesh, r, coeffs))
@@ -258,7 +259,7 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     The inner integral splits at the diagonal t = s; the outer one is
     per-cell Gauss with the same rule.
     """
-    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), x, r, rule)
+    return _bind_matrix(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), r, rule)(x)
 
 
 def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
@@ -266,18 +267,18 @@ def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
     return (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
 
 
-def _assemble(prob: UrysohnProblem, op: SplitOperator, x: PiecewisePoly, r: int,
-              outer: GaussRule) -> np.ndarray:
-    """assemble_linearized on an operator whose points are the cell nodes of
-    the outer rule: its weights times the row basis are the test weights of
-    those points."""
+def _bind_matrix(prob: UrysohnProblem, op: SplitOperator, r: int, outer: GaussRule):
+    """The function x -> assemble_linearized at x, on an operator whose
+    points are the cell nodes of the outer rule, whose weights times the row
+    basis are the test weights; those and the column basis are built once."""
     kern = prob.kernel
     kern.require_first_derivative()
     mesh = op.mesh
     inv_sqrt_h = 1.0 / math.sqrt(mesh.h)
-    test = mesh.h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes)
-    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, test,
-                     lambda tau: inv_sqrt_h * basis_table(r, tau))
+    test, *basis = _frozen(
+        mesh.h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes),
+        inv_sqrt_h * op.basis(r)[1], inv_sqrt_h * basis_table(r, op.rule.nodes))
+    return lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, test, basis)
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):

@@ -5,7 +5,8 @@ from scipy.integrate import quad
 
 import urysohn as u
 from urysohn.quadrature import _CHUNK, SplitOperator
-from urysohn.solver import _assemble, _cell_nodes
+from urysohn.problems import _bind_integral
+from urysohn.solver import _bind_matrix, _cell_nodes
 
 GAMMA = np.sqrt(12.0)
 
@@ -55,6 +56,19 @@ def test_two_points_integrate_cubic_exactly():
 def test_rule_size_out_of_range(p):
     with pytest.raises(ValueError):
         u.gauss_rule(p)
+
+
+def test_rule_is_built_once_per_size():
+    rule = u.gauss_rule(10)
+    assert u.gauss_rule(10) is rule and u.gauss_rule(np.int64(10)) is rule
+    assert u.gauss_rule(11) is not rule
+    for values in (rule.nodes, rule.weights):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 0.5
+    for p in (0, 65, 0, 65):  # a bad size raises on every call, not only the first
+        with pytest.raises(ValueError, match="rule size"):
+            u.gauss_rule(p)
 
 
 def test_integrate_cell_constant_gives_length():
@@ -243,7 +257,7 @@ def dense_matrix(fn1, fn2, x, mesh, r, rule, outer=None):
 def other_points_matrix(prob, x, mesh, r, rule, outer):
     """The Newton matrix as a solve assembles it: on an operator of the
     inner rule whose points are the outer rule's nodes in every cell."""
-    return _assemble(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, outer)), x, r, outer)
+    return _bind_matrix(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, outer)), r, outer)(x)
 
 
 def tree_points(mesh):
@@ -367,8 +381,56 @@ def test_matrix_rejects_points_that_are_not_the_same_nodes_in_every_cell():
     moved = nodes.copy()
     moved[7] += 1e-3  # one node of cell 2 off its place
     fn, test = (lambda s, t, x: s * t * x), np.ones((3, r))
-    basis = lambda tau: u.basis_table(r, tau)
+
+    def matrix(points):
+        op = SplitOperator(mesh, rule, points)
+        return op.matrix(fn, fn, np.exp, test, (op.basis(r)[1], u.basis_table(r, rule.nodes)))
+
     for points in (moved, nodes[::-1], nodes[:-1], np.append(nodes, 0.5)):
         with pytest.raises(ValueError, match="same 3 nodes"):
-            SplitOperator(mesh, rule, points).matrix(fn, fn, np.exp, test, basis)
-    assert SplitOperator(mesh, rule, nodes).matrix(fn, fn, np.exp, test, basis).shape == (8, 8)
+            matrix(points)
+    assert matrix(nodes).shape == (8, 8)
+
+
+OSCILLATING = (lambda s, t, x: np.cos(200.0 * s + t) * x,
+               lambda s, t, x: np.sin(200.0 * s - t) * x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hammerstein", "green", "oscillating"])
+def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
+    """One operator, bound once, applies K, K'v and the Newton matrix to a
+    sequence of different iterates; each result has the bytes of a fresh
+    operator's one-shot call, so nothing the operator keeps goes stale.
+    The iterates are piecewise polynomials of order r and of another order
+    on its mesh, one on another mesh, and a callable.  The first is zero on
+    the middle cells, so some blocks that the next one interpolates are
+    direct, with their targets written into their nodes.  The oscillating
+    pieces evaluate their top level at its targets in chunks, writing the
+    targets into the level's nodes."""
+    if kind == "hammerstein":
+        kern = u.get_problem("paper-hammerstein").kernel
+    elif kind == "green":
+        kern = urysohn_kernel(GAMMA)
+    else:
+        kern = u.GreenKernel(*OSCILLATING, *OSCILLATING)
+    mesh = u.make_mesh(64 if kind == "oscillating" else 16)
+    rule, outer = u.gauss_rule(7), u.gauss_rule(10)
+    prob, points = u.UrysohnProblem(kern, f=np.cos), _cell_nodes(mesh, outer)
+    op = SplitOperator(mesh, rule, points)
+    integral, matrix = _bind_integral(kern, op), _bind_matrix(prob, op, r, outer)
+    other = u.make_mesh(mesh.n + 3)
+    iterates = [zero_in_the_middle(u.project(np.exp, mesh, r)), u.project(np.cos, mesh, r),
+                u.project(lambda t: 1.0 - t * t, mesh, r % 3 + 1),
+                u.project(np.sin, other, r), lambda t: 0.5 + t * t, u.project(np.exp, mesh, r)]
+    v = u.project(lambda t: np.cos(3.0 * t), other, r)
+    if kind == "oscillating":
+        top = op._tree[0][0]
+        assert not op._ranks(*OSCILLATING, iterates[0](op.t))[0][1].any()
+        assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
+    for x in iterates:
+        fresh = SplitOperator(mesh, rule, points)
+        assert np.array_equal(integral(x), _bind_integral(kern, fresh)(x))
+        assert np.array_equal(integral(x, v), _bind_integral(kern, fresh)(x, v))
+        assert np.array_equal(matrix(x), _bind_matrix(prob, fresh, r, outer)(x))
+    assert not any(table.flags.writeable for table in op.basis(r) + op.basis(r % 3 + 1))

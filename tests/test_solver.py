@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 import subprocess
@@ -75,6 +76,33 @@ def test_solve_builds_one_operator(monkeypatch, r):
     sol = u.solve_galerkin(prob, u.make_mesh(4), r,
                            u.SolveOptions(method="newton", quad_points=7))
     assert sol.iterations > 1 and len(built) == 1
+
+
+def test_solve_samples_the_green_factors_once():
+    # the factors of G are sampled when the solve binds its operator, psi
+    # at every iteration: a longer solve calls only psi more often
+    prob = u.get_problem("paper-hammerstein")
+    factors = ("a1", "b1", "a2", "b2")
+
+    def solve(tol):
+        calls = dict.fromkeys(factors + ("psi",), 0)
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        kern = dataclasses.replace(prob.kernel, **{name: counted(name, getattr(prob.kernel, name))
+                                                   for name in calls})
+        sol = u.solve_galerkin(dataclasses.replace(prob, kernel=kern), u.make_mesh(8), 1,
+                               u.SolveOptions(tol=tol))
+        return sol.iterations, calls
+
+    short, long = solve(1e-4), solve(1e-12)
+    assert short[0] < long[0]
+    assert all(short[1][name] == long[1][name] > 0 for name in factors)
+    assert short[1]["psi"] < long[1]["psi"]
 
 
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green", "zero-kernel"])
