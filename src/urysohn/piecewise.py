@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import GaussRule, _sampled, gauss_rule
+from .quadrature import _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
@@ -48,9 +48,11 @@ class UniformMesh:
             raise ValueError("point outside [0, 1]")
 
     def _cells(self, s: np.ndarray, side: str) -> np.ndarray:
-        kind = "left" if side == "left" else "right"
-        idx = np.searchsorted(self.points, s, side=kind) - 1
-        return np.clip(idx, 0, self.n - 1)
+        return np.clip(np.searchsorted(self.points, s, side=side) - 1, 0, self.n - 1)
+
+    def grid(self, tau) -> np.ndarray:
+        """The points tau of [0, 1] mapped into every cell, shape (n, len(tau))."""
+        return self.points[:-1, None] + self.h * tau
 
     def local(self, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
         """The coordinates of t in the given cells, mapped and clipped to [0, 1]."""
@@ -132,21 +134,26 @@ class PiecewisePoly:
         """Right limit; at s = 1 this is the value from the last cell."""
         return self._eval(s, "right")
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
-
-def project(f, mesh: UniformMesh, r: int, quad: GaussRule | None = None) -> PiecewisePoly:
-    """Cell-wise L2 projection of f onto piecewise polynomials of degree < r.
-
-    ``quad`` defaults to a max(r, 10)-point Gauss rule per cell, which keeps
-    the quadrature error far below the h^r projection error for smooth f.
-    """
+def _projector(mesh: UniformMesh, r: int):
+    """The projection onto order r: its max(r, 10)-point Gauss rule, which
+    keeps the quadrature error far below the h^r projection error for
+    smooth f, the rule's nodes in every cell (flattened), and the map from
+    values at those nodes to projection coefficients."""
     if r < 1:
         raise ValueError(f"polynomial order must be positive, got {r}")
-    rule = quad if quad is not None else gauss_rule(max(r, 10))
-    t = mesh.points[:-1, None] + mesh.h * rule.nodes
-    fvals = _sampled(f, t)
+    rule = gauss_rule(max(r, 10))
     table = basis_table(r, rule.nodes)  # (p, r)
-    coeffs = math.sqrt(mesh.h) * ((fvals * rule.weights) @ table)
-    return PiecewisePoly(mesh=mesh, r=r, coeffs=coeffs)
+
+    def to_coeffs(values: np.ndarray) -> np.ndarray:
+        vals = values.reshape(mesh.n, rule.p)
+        return math.sqrt(mesh.h) * ((vals * rule.weights) @ table)
+
+    return rule, mesh.grid(rule.nodes).ravel(), to_coeffs
+
+
+def project(f, mesh: UniformMesh, r: int) -> PiecewisePoly:
+    """Cell-wise L2 projection of f onto piecewise polynomials of degree < r,
+    by a max(r, 10)-point Gauss rule per cell."""
+    _, nodes, to_coeffs = _projector(mesh, r)
+    return PiecewisePoly(mesh=mesh, r=r, coeffs=to_coeffs(_sampled(f, nodes)))

@@ -137,9 +137,10 @@ def _like(s, values):
     return float(out) if out.ndim == 0 else out
 
 
-def _times(fn, v):
-    """fn(..., t, u) v(t), for fn a u-derivative piece or dpsi."""
-    return lambda *args: fn(*args) * _sampled(v, args[-2])
+def _times(fn):
+    """fn(..., t, x(t)) v(t), for fn a u-derivative piece or dpsi, called
+    with x and v sampled together: u[..., 0] is x(t) and u[..., 1] v(t)."""
+    return lambda *args: fn(*args[:-1], args[-1][..., 0]) * args[-1][..., 1]
 
 
 def _bind_integral(kernel, op: SplitOperator) -> Callable:
@@ -147,13 +148,14 @@ def _bind_integral(kernel, op: SplitOperator) -> Callable:
     integral over t of kappa(s, t, x(t)), or with v given K'(x)v, that of
     du kappa(s, t, x(t)) v(t).  A HammersteinKernel is integrated by prefix
     sums, with its Green's factors sampled here once, any other kernel on
-    the split panels."""
+    the split panels.  v is sampled where x is, once per call."""
     if isinstance(kernel, HammersteinKernel):
         separable = op.separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2)
-        return lambda x, v=None: separable(kernel.psi if v is None else _times(kernel.dpsi, v), x)
+        return lambda x, v=None: (separable(kernel.psi, x) if v is None
+                                  else separable(_times(kernel.dpsi), (x, v)))
     return lambda x, v=None: (
         op.apply(kernel.kappa1, kernel.kappa2, x) if v is None
-        else op.apply(_times(kernel.du_kappa1, v), _times(kernel.du_kappa2, v), x))
+        else op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v)))
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):

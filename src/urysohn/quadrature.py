@@ -4,6 +4,7 @@ mesh points and at t = s."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import NamedTuple
@@ -183,7 +184,7 @@ class SplitOperator:
         pts, h = mesh.points, mesh.h
         col, lo, hi = s[:, None], pts[cells][:, None], pts[cells + 1][:, None]
         self.mesh, self.rule, self.s, self.cells = mesh, rule, s, cells
-        self.t = pts[:-1, None] + h * rule.nodes
+        self.t = mesh.grid(rule.nodes)
         self.w = h * rule.weights
         self.t_sub = np.concatenate([lo + (col - lo) * rule.nodes,
                                      col + (hi - col) * rule.nodes], axis=1)
@@ -205,9 +206,12 @@ class SplitOperator:
         return self._tables[r]
 
     def _sample(self, x, sub: bool):
-        """x at the node grid, or with ``sub`` at the sub-panel nodes.  A
-        piecewise polynomial on this mesh is read from their basis table (its
-        one-sided value at a cell edge); anything else is called."""
+        """x at the node grid, or with ``sub`` at the sub-panel nodes; a pair
+        (x, v) gives both, stacked on a last axis.  A piecewise polynomial
+        on this mesh is read from their basis table (its one-sided value at
+        a cell edge); anything else is called."""
+        if isinstance(x, tuple):
+            return np.stack([self._sample(y, sub) for y in x], axis=-1)
         t, cells = self._nodes[sub]
         if getattr(getattr(x, "mesh", None), "n", None) == self.mesh.n:
             return x.eval_on_table(self.basis(x.r)[sub], cells)
@@ -262,7 +266,8 @@ class SplitOperator:
     def _ranks(self, fn1, fn2, x_reg) -> list:
         """For every level, q and which blocks are interpolated."""
         levels, (s, at, of_fn2) = self._tree
-        t, xv = self.t.ravel()[at, None], x_reg.ravel()[at, None]  # (P, 2, 1)
+        t = self.t.ravel()[at, None]  # (P, 2, 1)
+        xv = x_reg.reshape((-1,) + x_reg.shape[2:])[at, None]  # a pair (x, v) keeps its axis
         vals = np.empty(at.shape + (_PROBE_POINTS,))  # (P, 2, _PROBE_POINTS)
         for fn, rows in ((fn1, ~of_fn2), (fn2, of_fn2)):
             vals[rows] = _piece(fn, s[rows, None], t[rows], xv[rows],
@@ -352,32 +357,36 @@ class SplitOperator:
                 out[lev.targets] += np.einsum("rq,rq->r", weights, at_nodes[lev.block])
         return out
 
-    def matrix(self, fn1, fn2, x, test, basis) -> np.ndarray:
-        """Galerkin matrix of the split integral: entry ((j, a), (k, b)) is
-        the sum over the points s in cell j of test_a(s) times the integral
-        over cell k of fn(s, t, x(t)) basis_b(t), fn1 left of s and fn2
-        right of it.  Shape (n r, n r).
+    def matrix(self, fn1, fn2, x, r: int, outer: GaussRule) -> np.ndarray:
+        """Galerkin matrix of the split integral over the r orthonormal cell
+        basis functions phi: entry ((j, a), (k, b)) is the ``outer`` rule's
+        sum over its nodes s in cell j of phi_a(s) times the integral over
+        cell k of fn(s, t, x(t)) phi_b(t), fn1 left of s and fn2 right of
+        it.  Shape (n r, n r).
 
-        The points must be the same m nodes in every cell, cell by cell;
-        ``test`` (m, r) holds the row weights of the m nodes of a cell and
-        ``basis`` the r column basis values at the sub-panel nodes (S, 2p,
-        r) and at the rule's nodes (p, r).  A far-field block enters as a
-        rank-Q product: the test sums of the interpolation weights on its
-        target cells times fn at the Chebyshev points against the basis on
-        its source cells.  Only the diagonal blocks use the sub-panels.
+        The points must be the outer rule's nodes in every cell, cell by
+        cell (``mesh.grid(outer.nodes)``).  The test weights and the basis
+        at the sub-panel nodes and at this operator's rule's nodes are built
+        here.  A far-field block enters as a rank-Q product: the test sums
+        of the interpolation weights on its target cells times fn at the
+        Chebyshev points against the basis on its source cells.  Only the
+        diagonal blocks use the sub-panels.
         """
-        n, (m, r) = self.mesh.n, test.shape
-        offset = self.s - self.mesh.points[self.cells]
-        if (self.s.size != n * m or np.any(self.cells != np.repeat(np.arange(n), m))
-                or np.ptp(offset.reshape(n, m), axis=0).max() > 1e-13):
-            raise ValueError(f"matrix needs the same {m} nodes in every cell as its points")
-        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub, basis[0])
+        from .piecewise import basis_table  # piecewise imports this module
+        n, m, h = self.mesh.n, outer.p, self.mesh.h
+        if not np.array_equal(self.s, self.mesh.grid(outer.nodes).ravel()):
+            raise ValueError(f"matrix needs the same {m} nodes in every cell as its points: "
+                             "those of its outer rule")
+        inv_sqrt_h = 1.0 / math.sqrt(h)
+        test = h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes)  # (m, r)
+        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub,
+                        inv_sqrt_h * self.basis(r)[1])
         # one spare cell past the last takes the padding of smaller blocks
         mat = np.zeros((n + 1, r, n + 1, r))
         mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, m, r)
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
-        regular = self.w[:, None] * basis[1]  # (p, r)
+        regular = self.w[:, None] * (inv_sqrt_h * basis_table(r, self.rule.nodes))  # (p, r)
         for lev, start, weights, values in self._far_field(fn1, fn2, x, regular, m):
             m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
             ms, (cells, nodes) = m_s.max(), values.shape[:2]

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
-from .piecewise import PiecewisePoly, UniformMesh, basis_table
-from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _frozen, _sampled, gauss_rule
+from .piecewise import PiecewisePoly, UniformMesh, _projector
+from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
 from .problems import UrysohnProblem, _bind_integral, _like, _two_piece, apply_K
 
 __all__ = [
@@ -117,24 +117,10 @@ class PartitionValues:
         object.__setattr__(self, "values", values)
 
 
-def _projection_stencil(mesh: UniformMesh, r: int, rule: GaussRule):
-    """Per-cell quadrature nodes (flattened) and the map from values at those
-    nodes to projection coefficients."""
-    nodes = _cell_nodes(mesh, rule)
-    table = basis_table(r, rule.nodes)  # (p, r)
-
-    def to_coeffs(values_flat: np.ndarray) -> np.ndarray:
-        vals = values_flat.reshape(mesh.n, rule.p)
-        return math.sqrt(mesh.h) * ((vals * rule.weights) @ table)
-
-    return nodes, to_coeffs
-
-
 def _sup_on_rule(poly: PiecewisePoly, rule: GaussRule) -> float:
     """Sup of |poly| sampled on the per-cell quadrature grid plus cell edges."""
     mesh = poly.mesh
-    tau = np.concatenate(([0.0], rule.nodes, [1.0]))
-    t = mesh.points[:-1, None] + mesh.h * tau
+    t = mesh.grid(np.concatenate(([0.0], rule.nodes, [1.0])))
     cells = np.broadcast_to(np.arange(mesh.n)[:, None], t.shape)
     return float(np.max(np.abs(poly.eval_on_cells(t, cells))))
 
@@ -150,23 +136,21 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     SingularLinearizationError when the Newton matrix is unusable (a sign
     that 1 is nearly an eigenvalue of the operator derivative).
     """
-    if r < 1:
-        raise ValueError(f"polynomial order must be positive, got {r}")
     opts = opts if opts is not None else SolveOptions()
-    inner = gauss_rule(opts.quad_points)
-    outer = gauss_rule(max(r, 10))
-    nodes, to_coeffs = _projection_stencil(mesh, r, outer)
-    op = SplitOperator(mesh, inner, nodes)
+    outer, nodes, to_coeffs = _projector(mesh, r)
+    op = SplitOperator(mesh, gauss_rule(opts.quad_points), nodes)
+    kern = prob.kernel
+    if opts.method == "newton":
+        kern.require_first_derivative()
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
-    integral = _bind_integral(prob.kernel, op)
-    matrix = _bind_matrix(prob, op, r, outer) if opts.method == "newton" else None
+    integral = _bind_integral(kern, op)
 
     def value(coeffs):
         return to_coeffs(integral(PiecewisePoly(mesh, r, coeffs))) + f_coeffs
 
     def jacobian(coeffs):
-        return matrix(PiecewisePoly(mesh, r, coeffs))
+        return op.matrix(kern.du_kappa1, kern.du_kappa2, PiecewisePoly(mesh, r, coeffs), r, outer)
 
     c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
                                      lambda coeffs: PiecewisePoly(mesh, r, coeffs))
@@ -259,26 +243,10 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     The inner integral splits at the diagonal t = s; the outer one is
     per-cell Gauss with the same rule.
     """
-    return _bind_matrix(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, rule)), r, rule)(x)
-
-
-def _cell_nodes(mesh: UniformMesh, rule: GaussRule) -> np.ndarray:
-    """The rule's nodes in every cell, cell by cell."""
-    return (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
-
-
-def _bind_matrix(prob: UrysohnProblem, op: SplitOperator, r: int, outer: GaussRule):
-    """The function x -> assemble_linearized at x, on an operator whose
-    points are the cell nodes of the outer rule, whose weights times the row
-    basis are the test weights; those and the column basis are built once."""
     kern = prob.kernel
     kern.require_first_derivative()
-    mesh = op.mesh
-    inv_sqrt_h = 1.0 / math.sqrt(mesh.h)
-    test, *basis = _frozen(
-        mesh.h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes),
-        inv_sqrt_h * op.basis(r)[1], inv_sqrt_h * basis_table(r, op.rule.nodes))
-    return lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, test, basis)
+    op = SplitOperator(mesh, rule, mesh.grid(rule.nodes))
+    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, rule)
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):

@@ -49,6 +49,15 @@ def test_mesh_points_strictly_increasing_constant_gap():
     assert np.max(np.abs(gaps - mesh.h)) < 1e-15
 
 
+def test_grid_maps_points_into_every_cell():
+    mesh, tau = u.make_mesh(4), np.array([0.0, 0.25, 1.0])
+    grid = mesh.grid(tau)
+    assert grid.shape == (4, 3)
+    np.testing.assert_array_equal(grid[:, 0], mesh.points[:-1])
+    np.testing.assert_array_equal(grid[:, 1], mesh.points[:-1] + 0.0625)
+    np.testing.assert_array_equal(grid[:, 2], mesh.points[1:])
+
+
 def test_cell_of_left_convention():
     mesh = u.make_mesh(4)
     assert mesh.cell_of(0.0) == 0
@@ -197,12 +206,3 @@ def test_projection_fixes_global_polynomials(rng):
         p = u.project(f, mesh, r)
         grid = np.linspace(0, 1, 101)
         assert np.max(np.abs(p(grid) - f(grid))) < 1e-12
-
-
-def test_l2_norm_matches_coefficients(rng):
-    mesh = u.make_mesh(7)
-    coeffs = rng.standard_normal((mesh.n, 2))
-    p = u.PiecewisePoly(mesh, 2, coeffs)
-    direct = np.sqrt(composite_inner(p, p, mesh))
-    assert p.l2_norm() == pytest.approx(direct, rel=1e-12)
-    assert p.l2_norm() == pytest.approx(np.sqrt((coeffs ** 2).sum()))

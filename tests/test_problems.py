@@ -254,7 +254,7 @@ def test_prefix_sum_apply_memory_is_flat(hammerstein):
     mesh = u.make_mesh(1280)
     rule = u.gauss_rule(10)
     x = u.project(hammerstein.exact, mesh, 1)
-    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    nodes = mesh.grid(rule.nodes).ravel()
     tracemalloc.start()
     try:
         vals = _bind_integral(hammerstein.kernel, SplitOperator(mesh, rule, nodes))(x)

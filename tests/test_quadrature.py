@@ -6,7 +6,6 @@ from scipy.integrate import quad
 import urysohn as u
 from urysohn.quadrature import _CHUNK, SplitOperator
 from urysohn.problems import _bind_integral
-from urysohn.solver import _bind_matrix, _cell_nodes
 
 GAMMA = np.sqrt(12.0)
 
@@ -221,7 +220,7 @@ def dense_split(fn1, fn2, g, s, mesh, rule):
     on [s, t_j+1].  Every (s, cell, node) triple is evaluated."""
     cells = mesh.cell_of(s)
     lo, hi, col = mesh.points[cells][:, None], mesh.points[cells + 1][:, None], s[:, None]
-    t = mesh.points[:-1, None] + mesh.h * rule.nodes
+    t = mesh.grid(rule.nodes)
     k = np.arange(mesh.n)[None, :, None]
     pick = np.where(k < cells[:, None, None], fn1(s[:, None, None], t, g(t)),
                     np.where(k > cells[:, None, None], fn2(s[:, None, None], t, g(t)), 0.0))
@@ -244,7 +243,7 @@ def dense_matrix(fn1, fn2, x, mesh, r, rule, outer=None):
     in every cell (the inner rule's by default), summed against the row
     basis with the outer rule's weights."""
     n, outer = mesh.n, outer or rule
-    nodes = (mesh.points[:-1, None] + mesh.h * outer.nodes).ravel()
+    nodes = mesh.grid(outer.nodes).ravel()
     inner = np.stack([dense_split(
         lambda s, t, xv, b=b: fn1(s, t, xv) * cell_basis(mesh, r, t)[..., b],
         lambda s, t, xv, b=b: fn2(s, t, xv) * cell_basis(mesh, r, t)[..., b],
@@ -257,7 +256,9 @@ def dense_matrix(fn1, fn2, x, mesh, r, rule, outer=None):
 def other_points_matrix(prob, x, mesh, r, rule, outer):
     """The Newton matrix as a solve assembles it: on an operator of the
     inner rule whose points are the outer rule's nodes in every cell."""
-    return _bind_matrix(prob, SplitOperator(mesh, rule, _cell_nodes(mesh, outer)), r, outer)(x)
+    kern = prob.kernel
+    op = SplitOperator(mesh, rule, mesh.grid(outer.nodes))
+    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
 
 
 def tree_points(mesh):
@@ -351,7 +352,7 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
     rule, outer = u.gauss_rule(7), u.gauss_rule(10)
-    op = SplitOperator(mesh, rule, _cell_nodes(mesh, outer))
+    op = SplitOperator(mesh, rule, mesh.grid(outer.nodes))
     top = op._tree[0][0]
     assert not op._ranks(fn1, fn2, x(op.t))[0][1].any()
     assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
@@ -376,20 +377,41 @@ def test_newton_matrix_on_points_of_another_rule(gamma, n, r, p, m):
 
 
 def test_matrix_rejects_points_that_are_not_the_same_nodes_in_every_cell():
-    mesh, rule, r = u.make_mesh(4), u.gauss_rule(5), 2
-    nodes = _cell_nodes(mesh, u.gauss_rule(3))
+    """Also 3 nodes that are the same in every cell but not the outer
+    rule's."""
+    mesh, rule, outer, r = u.make_mesh(4), u.gauss_rule(5), u.gauss_rule(3), 2
+    nodes = mesh.grid(outer.nodes).ravel()
     moved = nodes.copy()
     moved[7] += 1e-3  # one node of cell 2 off its place
-    fn, test = (lambda s, t, x: s * t * x), np.ones((3, r))
+    other = mesh.grid(np.array([0.1, 0.5, 0.9])).ravel()
+    fn = lambda s, t, x: s * t * x
 
     def matrix(points):
-        op = SplitOperator(mesh, rule, points)
-        return op.matrix(fn, fn, np.exp, test, (op.basis(r)[1], u.basis_table(r, rule.nodes)))
+        return SplitOperator(mesh, rule, points).matrix(fn, fn, np.exp, r, outer)
 
-    for points in (moved, nodes[::-1], nodes[:-1], np.append(nodes, 0.5)):
+    for points in (moved, nodes[::-1], nodes[:-1], np.append(nodes, 0.5), other):
         with pytest.raises(ValueError, match="same 3 nodes"):
             matrix(points)
     assert matrix(nodes).shape == (8, 8)
+
+
+@pytest.mark.parametrize("kind", ["green", "hammerstein"])
+def test_kprime_samples_v_once_at_the_grid_and_the_sub_panels(kind):
+    """K'v calls v at the n p grid nodes and the 2 p S sub-panel nodes, once
+    each, whatever the tree does with them."""
+    kern = urysohn_kernel(GAMMA) if kind == "green" else u.get_problem("paper-hammerstein").kernel
+    mesh, rule = u.make_mesh(80), u.gauss_rule(10)
+    s = mesh.grid(rule.nodes).ravel()
+    points = []
+
+    def v(t):
+        points.append(np.size(t))
+        return 1.0 + t * t
+
+    got = u.apply_Kprime(u.UrysohnProblem(kern, f=np.cos), u.project(np.exp, mesh, 2), v, s,
+                         rule, mesh)
+    assert np.all(np.isfinite(got))
+    assert sum(points) == mesh.n * rule.p + 2 * rule.p * s.size
 
 
 OSCILLATING = (lambda s, t, x: np.cos(200.0 * s + t) * x,
@@ -416,9 +438,13 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
         kern = u.GreenKernel(*OSCILLATING, *OSCILLATING)
     mesh = u.make_mesh(64 if kind == "oscillating" else 16)
     rule, outer = u.gauss_rule(7), u.gauss_rule(10)
-    prob, points = u.UrysohnProblem(kern, f=np.cos), _cell_nodes(mesh, outer)
+    points = mesh.grid(outer.nodes)
     op = SplitOperator(mesh, rule, points)
-    integral, matrix = _bind_integral(kern, op), _bind_matrix(prob, op, r, outer)
+    integral = _bind_integral(kern, op)
+
+    def matrix(x, op=op):
+        return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
+
     other = u.make_mesh(mesh.n + 3)
     iterates = [zero_in_the_middle(u.project(np.exp, mesh, r)), u.project(np.cos, mesh, r),
                 u.project(lambda t: 1.0 - t * t, mesh, r % 3 + 1),
@@ -432,5 +458,5 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
         fresh = SplitOperator(mesh, rule, points)
         assert np.array_equal(integral(x), _bind_integral(kern, fresh)(x))
         assert np.array_equal(integral(x, v), _bind_integral(kern, fresh)(x, v))
-        assert np.array_equal(matrix(x), _bind_matrix(prob, fresh, r, outer)(x))
+        assert np.array_equal(matrix(x), matrix(x, fresh))
     assert not any(table.flags.writeable for table in op.basis(r) + op.basis(r % 3 + 1))

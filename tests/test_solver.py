@@ -37,6 +37,16 @@ def test_zero_kernel_fixed_point_in_one_iteration(zero_kernel):
     assert sol.final_residual < 1e-13
 
 
+@pytest.mark.parametrize("method", ["picard", "newton"])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_zero_kernel_solve_is_the_projection_of_f(zero_kernel, method, r):
+    # the solve and project share one projection: with K = 0 the Galerkin
+    # solution is P f, bit for bit
+    mesh = u.make_mesh(6)
+    sol = u.solve_galerkin(zero_kernel, mesh, r, u.SolveOptions(method=method))
+    assert np.array_equal(sol.x_g.coeffs, u.project(zero_kernel.f, mesh, r).coeffs)
+
+
 def test_picard_newton_and_direct_solve_agree(linear_green):
     mesh = u.make_mesh(6)
     r = 2
@@ -214,7 +224,7 @@ def test_picard_apply_memory_is_flat_in_the_point_count(hammerstein):
     mesh = u.make_mesh(320)
     rule = u.gauss_rule(10)
     x = u.project(hammerstein.exact, mesh, 1)
-    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    nodes = mesh.grid(rule.nodes).ravel()
     kern = hammerstein.kernel
     tracemalloc.start()
     try:
@@ -235,7 +245,7 @@ def test_unresolved_tree_levels_keep_memory_bounded():
     prob = u.UrysohnProblem(u.GreenKernel(fn1, fn2, fn1, fn2), f=np.cos)
     mesh, rule = u.make_mesh(320), u.gauss_rule(10)
     x = u.project(np.exp, mesh, 2)
-    nodes = (mesh.points[:-1, None] + mesh.h * rule.nodes).ravel()
+    nodes = mesh.grid(rule.nodes).ravel()
     for run, limit in ((lambda: SplitOperator(mesh, rule, nodes).apply(fn1, fn2, x), 8e6),
                        (lambda: u.assemble_linearized(prob, x, mesh, 2, rule), 16e6)):
         tracemalloc.start()
