@@ -85,7 +85,8 @@ class HammersteinKernel(_TwoPieces):
     ``dpsi`` take (t, u).  The pieces ``kappa1/2`` and ``du_kappa1/2`` of a
     GreenKernel are derived from them, so every generic consumer takes this
     kernel too, while the operator calls integrate it by prefix sums
-    (``SplitOperator.separable``) in O(n p + S p), not O(S n p).
+    (``SplitOperator.separable``) in O(n p + S p), not O(S n p), and a
+    solve by product integration from psi on n p nodes (``galerkin``).
     """
 
     a1: Callable
@@ -156,6 +157,19 @@ def _bind_integral(kernel, op: SplitOperator) -> Callable:
     return lambda x, v=None: (
         op.apply(kernel.kappa1, kernel.kappa2, x) if v is None
         else op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v)))
+
+
+def _bind_galerkin(kernel, op: SplitOperator, r: int, outer: GaussRule, to_coeffs):
+    """x -> the Galerkin coefficients of K(x), ``to_coeffs`` of K(x) at the
+    points of ``op``, and x -> the Newton matrix at x: by product integration
+    for a HammersteinKernel (``op.galerkin``), else on the split panels."""
+    if isinstance(kernel, HammersteinKernel):
+        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, r, outer,
+                                      to_coeffs)
+        return (lambda x: value(kernel.psi, x),
+                lambda x: jacobian(kernel.dpsi, x, kernel.du_kappa1, kernel.du_kappa2))
+    return (lambda x: to_coeffs(op.apply(kernel.kappa1, kernel.kappa2, x)),
+            lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, r, outer))
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
@@ -266,10 +280,10 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
     ``params`` may override numeric problem parameters (``gamma`` > 0 for
     the Green's-kernel problems, plus ``scale`` for linear-green); both must
     be finite numbers, and gamma sinh(gamma), the scale of the Green's
-    factors, must be finite too (gamma below about 704), as must the
-    right-hand side at the partition points of its own mesh (for
-    paper-hammerstein, gamma up to about 703).  ``rhs_mode``
-    selects the manufactured right-hand side (default) or, for
+    factors, must be a finite normal number too (gamma from about 1.49e-154
+    to about 704), as must the right-hand side at the partition points of
+    its own mesh (for paper-hammerstein, gamma up to about 703).
+    ``rhs_mode`` selects the manufactured right-hand side (default) or, for
     paper-hammerstein only, the historical printed one.
     """
     if params is not None and not isinstance(params, dict):
@@ -289,9 +303,12 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
         gamma = take("gamma", GAMMA_DEFAULT)
         if not gamma > 0.0:
             raise ConfigError(f"gamma must be positive, got {gamma!r}")
-        with np.errstate(over="ignore"):
-            if not np.isfinite(gamma * np.sinh(gamma)):
-                raise ConfigError(f"gamma {gamma!r} is too large: gamma sinh(gamma) overflows")
+        with np.errstate(over="ignore", under="ignore"):
+            scale = gamma * np.sinh(gamma)
+        if not np.isfinite(scale):
+            raise ConfigError(f"gamma {gamma!r} is too large: gamma sinh(gamma) overflows")
+        if scale < np.finfo(float).tiny:
+            raise ConfigError(f"gamma {gamma!r} is too small: gamma sinh(gamma) underflows")
         return gamma
 
     if problem_id == "paper-hammerstein":

@@ -374,11 +374,8 @@ class SplitOperator:
         """
         from .piecewise import basis_table  # piecewise imports this module
         n, m, h = self.mesh.n, outer.p, self.mesh.h
-        if not np.array_equal(self.s, self.mesh.grid(outer.nodes).ravel()):
-            raise ValueError(f"matrix needs the same {m} nodes in every cell as its points: "
-                             "those of its outer rule")
         inv_sqrt_h = 1.0 / math.sqrt(h)
-        test = h * inv_sqrt_h * outer.weights[:, None] * basis_table(r, outer.nodes)  # (m, r)
+        test = self._test_weights(r, outer)
         own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub,
                         inv_sqrt_h * self.basis(r)[1])
         # one spare cell past the last takes the padding of smaller blocks
@@ -411,6 +408,23 @@ class SplitOperator:
                                                                     ms * r)
         return mat[:n * r, :n * r]
 
+    def _test_weights(self, r: int, outer: GaussRule) -> np.ndarray:
+        """h (1/sqrt h) w phi (m, r): values at the outer rule's nodes in a cell to
+        Galerkin coefficients, for points that are those nodes in every cell."""
+        from .piecewise import basis_table  # piecewise imports this module
+        if not np.array_equal(self.s, self.mesh.grid(outer.nodes).ravel()):
+            raise ValueError(f"Galerkin sums need the same {outer.p} nodes in every cell as "
+                             "their points: those of their outer rule")
+        h = self.mesh.h
+        return h * (1.0 / math.sqrt(h)) * outer.weights[:, None] * basis_table(r, outer.nodes)
+
+    def _factors(self, a1, b1, a2, b2):
+        """a1 and a2 at the points s, b1 and b2 at the node grid and at the
+        sub-panel nodes of their side."""
+        p = self.rule.p
+        return (_sampled(a1, self.s), _sampled(b1, self.t), _sampled(b1, self.t_sub[:, :p]),
+                _sampled(a2, self.s), _sampled(b2, self.t), _sampled(b2, self.t_sub[:, p:]))
+
     def separable(self, a1, b1, a2, b2):
         """The function (g, x) -> integral of a1(s) b1(t) g(t, x(t)) over
         [0, s] plus a2(s) b2(t) g(t, x(t)) over [s, 1], at every s, by
@@ -421,22 +435,91 @@ class SplitOperator:
         one of b2 g; only the two sub-panels depend on s.  Cost per call: g
         at n p + 2 p S points and no (S, n, p) block.
         """
+        return self._integrator(self._factors(a1, b1, a2, b2))
+
+    def _integrator(self, factors):
+        """``separable``'s function on the sampled ``_factors``."""
         p = self.rule.p
-        b1_reg, b2_reg = _sampled(b1, self.t), _sampled(b2, self.t)  # (n, p)
-        b1_sub, b2_sub = _sampled(b1, self.t_sub[:, :p]), _sampled(b2, self.t_sub[:, p:])
-        a1_s, a2_s = _sampled(a1, self.s), _sampled(a2, self.s)
+        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = factors
 
         def integrate(g, x) -> np.ndarray:
             g_reg = np.asarray(g(self.t, self._sample(x, sub=False)), dtype=float) * self.w
             g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
-            # before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g
-            before = np.concatenate(([0.0], np.cumsum((b1_reg * g_reg).sum(axis=1))))
-            after = np.concatenate((np.cumsum((b2_reg * g_reg).sum(axis=1)[::-1])[::-1], [0.0]))
+            before, after = _prefix_sums(b1_reg * g_reg, b2_reg * g_reg)
             left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
             right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
             return a1_s * left + a2_s * right
 
         return integrate
+
+    def galerkin(self, a1, b1, a2, b2, r: int, outer: GaussRule, to_coeffs):
+        """``(value, jacobian)`` by product integration, for points that are
+        the outer rule's nodes in every cell: ``value(g, x)`` is ``to_coeffs``
+        of ``separable``'s integral, ``jacobian(dg, x, fn1, fn2)`` its exact
+        Jacobian in the coefficients of x, of order r.  g is read on the node
+        grid only and interpolated on each cell by the Lagrange basis L_l of
+        its p nodes: the split cell enters as sum_l g_jl M[j, l, i], M the
+        sub-panel sums of the test weights times a b L_l, the other cells as
+        the prefix sums times the test sums of a1 and a2 (rank-one Jacobian
+        blocks).  Exact to roundoff for g of degree < p on every cell; a call
+        in which g (or dg phi_b) has, in some cell, one of its last two
+        Legendre coefficients above _RESOLVED times the largest over all
+        cells, or is not finite, takes ``separable`` or ``matrix`` (on the
+        derivative pieces fn1, fn2) instead.
+        """
+        from .piecewise import basis_table  # piecewise imports this module
+        n, m, p, h = self.mesh.n, outer.p, self.rule.p, self.mesh.h
+        test = self._test_weights(r, outer)  # (m, r)
+        factors = a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
+        tau, sigma = self.rule.nodes, outer.nodes[:, None]
+        local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)  # (m, 2p)
+        bary = (-1.0) ** np.arange(p) * np.sqrt(tau * (1.0 - tau) * self.rule.weights)
+        lagrange = _interpolation(local.ravel(), tau, bary).reshape(m, 2 * p, p)
+        own = np.concatenate([a1_s[:, None] * b1_sub, a2_s[:, None] * b2_sub], axis=1) * self.w_sub
+        split = np.einsum("jkq,kql,ki->jli", own.reshape(n, m, 2 * p), lagrange, test,
+                          optimize=True)  # M
+        pa1, pa2 = a1_s.reshape(n, m) @ test, a2_s.reshape(n, m) @ test  # (n, r)
+        legendre = (self.rule.weights[:, None] * basis_table(p, tau)).T  # values to coefficients
+        phi = basis_table(r, tau) / math.sqrt(h)  # d x(t) / d c in every cell, (p, r)
+
+        def resolved(vals) -> bool:  # vals (n, p, k)
+            with np.errstate(invalid="ignore"):
+                coeffs = np.abs(legendre @ vals)
+            top = coeffs.max()
+            return bool(np.isfinite(top)) and not np.any(coeffs[:, -2:] > _RESOLVED * top)
+
+        def on_grid(g, x) -> np.ndarray:  # g(t, x(t)) on the node grid, (n, p)
+            return np.broadcast_to(np.asarray(g(self.t, self._sample(x, sub=False)),
+                                              dtype=float), self.t.shape)
+
+        def value(g, x):
+            g_reg = on_grid(g, x)
+            if not resolved(g_reg[..., None]):
+                return to_coeffs(self._integrator(factors)(g, x))
+            g_w = g_reg * self.w
+            before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
+            return (pa1 * before[:-1, None] + pa2 * after[1:, None]
+                    + np.einsum("jl,jli->ji", g_reg, split))
+
+        def jacobian(dg, x, fn1, fn2):
+            d_phi = on_grid(dg, x)[..., None] * phi
+            if not resolved(d_phi):
+                return self.matrix(fn1, fn2, x, r, outer)
+            q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
+            mat = pa2[:, :, None, None] * q2  # source cell right of the target
+            np.multiply(pa1[:, :, None, None], q1, out=mat,
+                        where=np.tri(n, k=-1, dtype=bool)[:, None, :, None])  # left of it
+            mat[np.arange(n), :, np.arange(n), :] = np.einsum("jli,jlb->jib", split, d_phi)
+            return mat.reshape(n * r, n * r)
+
+        return value, jacobian
+
+
+def _prefix_sums(b1g: np.ndarray, b2g: np.ndarray):
+    """before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g."""
+    before = np.concatenate(([0.0], np.cumsum(b1g.sum(axis=1))))
+    after = np.concatenate((np.cumsum(b2g.sum(axis=1)[::-1])[::-1], [0.0]))
+    return before, after
 
 
 def _piece(fn, s, t, xv, shape):

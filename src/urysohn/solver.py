@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, _projector
 from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
-from .problems import UrysohnProblem, _bind_integral, _like, _two_piece, apply_K
+from .problems import UrysohnProblem, _bind_galerkin, _like, _two_piece, apply_K
 
 __all__ = [
     "SolveOptions",
@@ -144,19 +144,19 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
         kern.require_first_derivative()
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
-    integral = _bind_integral(kern, op)
+    galerkin, matrix = _bind_galerkin(kern, op, r, outer, to_coeffs)
+
+    def as_poly(coeffs):
+        return PiecewisePoly(mesh, r, coeffs)
 
     def value(coeffs):
-        return to_coeffs(integral(PiecewisePoly(mesh, r, coeffs))) + f_coeffs
+        return galerkin(as_poly(coeffs)) + f_coeffs
 
-    def jacobian(coeffs):
-        return op.matrix(kern.du_kappa1, kern.du_kappa2, PiecewisePoly(mesh, r, coeffs), r, outer)
-
-    c, iterations, update = _iterate(value, jacobian, f_coeffs, opts, 1.0,
-                                     lambda coeffs: PiecewisePoly(mesh, r, coeffs))
-    residual_poly = PiecewisePoly(mesh, r, c - value(c))
+    c, iterations, update = _iterate(value, lambda coeffs: matrix(as_poly(coeffs)), f_coeffs,
+                                     opts, 1.0, as_poly)
+    residual_poly = as_poly(c - value(c))
     return GalerkinSolution(
-        x_g=PiecewisePoly(mesh, r, c),
+        x_g=as_poly(c),
         iterations=iterations,
         final_update=update,
         final_residual=_sup_on_rule(residual_poly, outer),

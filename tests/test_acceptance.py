@@ -290,3 +290,20 @@ def test_criterion_8_determinism(tmp_path):
         "criterion 8", all(same.values()) and md_rows == 19,
         f"two runs byte-identical: {same}; md rows per t_i: {md_rows} (need 19)",
     )
+
+
+def test_criterion_9_higher_order_extrapolation():
+    """r = 3 at a tolerance below the error floor of the finest level: the
+    partition orders approach 2r = 6 and the extrapolated ones 2r + 2 = 8,
+    with Picard and with Newton."""
+    details, ok = [], True
+    for method in ("picard", "newton"):
+        report = u.run_study(u.StudyConfig(problem_id="paper-hammerstein", r=3,
+                                           n_sequence=(5, 10, 20, 40), method=method,
+                                           tol=1e-15))
+        alpha, beta = report.alpha[20], report.beta[10]
+        ok = ok and bool(np.all(np.abs(alpha - 6.0) <= 0.1) and np.all(np.abs(beta - 8.0) <= 0.3))
+        details.append(f"{method} alpha@(20:40) in [{alpha.min():.3f}, {alpha.max():.3f}], "
+                       f"beta@(10:20) in [{beta.min():.3f}, {beta.max():.3f}]")
+    check("criterion 9", ok, "; ".join(details) + " (need alpha within 0.1 of 6, beta within "
+          "0.3 of 8)")

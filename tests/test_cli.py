@@ -1,5 +1,6 @@
 import json
 import re
+import warnings
 
 import pytest
 
@@ -70,6 +71,32 @@ def test_wrongly_typed_or_invalid_config_exits_3_without_traceback(tmp_path, cap
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("rhs_mode", ["manufactured", "paper"])
+@pytest.mark.parametrize("gamma", [1e-160, 1e-200])
+def test_gamma_whose_green_scale_underflows_exits_3_without_warnings(tmp_path, capsys, gamma,
+                                                                     rhs_mode):
+    """gamma sinh(gamma) subnormal (1e-320) or zero: a config error, before
+    any numpy warning."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"problem_id": "paper-hammerstein", "params": {"gamma": gamma},
+                                "n_sequence": [4, 8], "rhs_mode": rhs_mode}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "too small: gamma sinh(gamma) underflows" in err
+    assert "Traceback" not in err
+
+
+def test_smallest_normal_gamma_scale_still_solves(tmp_path):
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"problem_id": "paper-hammerstein", "params": {"gamma": 1e-150},
+                                "n_sequence": [4, 8]}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 0
 
 
 def test_divergence_exit_code(tmp_path, capsys):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 
 import urysohn as u
+from urysohn.piecewise import _projector
 from urysohn.quadrature import _CHUNK, SplitOperator
-from urysohn.problems import _bind_integral
+from urysohn.problems import _bind_galerkin, _bind_integral
 
 GAMMA = np.sqrt(12.0)
 
@@ -460,3 +463,78 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
         assert np.array_equal(integral(x, v), _bind_integral(kern, fresh)(x, v))
         assert np.array_equal(matrix(x), matrix(x, fresh))
     assert not any(table.flags.writeable for table in op.basis(r) + op.basis(r % 3 + 1))
+
+
+# --- Galerkin sums of a Hammerstein kernel by product integration --------------
+
+
+def solve_operator(kern, n, r):
+    """A solve's operator for kern on n cells at order r: the direct
+    Galerkin coefficients and Newton matrix (to_coeffs of the prefix-sum
+    integral, and the tree matrix), the bound product-integration pair, and
+    a pair of ``op.galerkin`` that fails on its direct path."""
+    mesh = u.make_mesh(n)
+    outer, nodes, to_coeffs = _projector(mesh, r)
+    op = SplitOperator(mesh, u.gauss_rule(10), nodes)
+    direct = (lambda x: to_coeffs(_bind_integral(kern, op)(x)),
+              lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer))
+
+    def unreachable(*args):
+        raise AssertionError("took the direct path")
+
+    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, r, outer, unreachable)
+    product = (lambda x: value(kern.psi, x),
+               lambda x: jacobian(kern.dpsi, x, unreachable, unreachable))
+    return mesh, direct, _bind_galerkin(kern, op, r, outer, to_coeffs), product
+
+
+@pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
+@pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green"])
+def test_product_integration_matches_the_direct_galerkin_sums(problem_id, gamma):
+    """psi is cubic or linear in u, so on order r <= 3 it is a polynomial of
+    degree < p on every cell and product integration reproduces the
+    sub-panel quadrature: coefficients and Newton matrix within 1e-14 of the
+    largest entry, without taking the direct path."""
+    kern = u.get_problem(problem_id, {"gamma": gamma}).kernel
+    for r in (1, 2, 3):
+        for n in (1, 3, 16):
+            mesh, direct, _, product = solve_operator(kern, n, r)
+            x = u.project(lambda t: 2.0 / (2.0 * t + 1.0) + 0.3 * np.sin(3.0 * t), mesh, r)
+            for want, got in zip((f(x) for f in direct), (f(x) for f in product)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (16, 3), (7, 3)])
+def test_newton_matrix_is_the_jacobian_of_the_affine_coefficient_map(n, r):
+    """For linear-green the coefficient map is affine, so every column of
+    the Newton matrix is the change of the coefficients when that one
+    coefficient of x grows by 1."""
+    kern = u.get_problem("linear-green").kernel
+    mesh, _, (value, matrix), _ = solve_operator(kern, n, r)
+    c = u.project(np.exp, mesh, r).coeffs
+    mat, base = matrix(u.PiecewisePoly(mesh, r, c)), value(u.PiecewisePoly(mesh, r, c))
+    for k in range(n * r):
+        step = np.zeros(n * r)
+        step[k] = 1.0
+        moved = value(u.PiecewisePoly(mesh, r, c + step.reshape(n, r)))
+        assert np.max(np.abs((moved - base).ravel() - mat[:, k])) < 1e-13
+
+
+def test_unresolved_psi_takes_the_direct_path_bit_for_bit():
+    """psi = exp(u) cos(5 t) is not a polynomial of low degree on one cell:
+    at n = 1, r = 3 the coefficients and Newton matrix are the direct
+    path's, bit for bit; on 160 cells it resolves."""
+    base = u.get_problem("paper-hammerstein").kernel
+    wave = lambda t, x: np.exp(x) * np.cos(5.0 * t)
+    kern = dataclasses.replace(base, psi=wave, dpsi=wave)
+    mesh, direct, bound, product = solve_operator(kern, 1, 3)
+    x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, 3)
+    for want, got, fails in zip(direct, bound, product):
+        assert np.array_equal(got(x), want(x))
+        with pytest.raises(AssertionError, match="direct path"):
+            fails(x)
+    mesh, direct, _, product = solve_operator(kern, 160, 3)
+    x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, 3)
+    for want, got in zip((f(x) for f in direct), (f(x) for f in product)):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))

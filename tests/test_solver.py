@@ -115,6 +115,30 @@ def test_solve_samples_the_green_factors_once():
     assert short[1]["psi"] < long[1]["psi"]
 
 
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_hammerstein_solve_reads_psi_and_dpsi_on_its_grid_only(method):
+    """Every iteration evaluates psi at the n p points of the solve's node
+    grid and nowhere else (one more call gives the final residual), and
+    every Newton matrix evaluates dpsi there: no sub-panel point."""
+    prob = u.get_problem("paper-hammerstein")
+    n, opts = 160, u.SolveOptions(method=method)
+    sizes = {"psi": [], "dpsi": []}
+
+    def counted(name):
+        fn = getattr(prob.kernel, name)
+
+        def call(t, x):
+            sizes[name].append(np.broadcast(t, x).size)
+            return fn(t, x)
+        return call
+
+    kern = dataclasses.replace(prob.kernel, psi=counted("psi"), dpsi=counted("dpsi"))
+    sol = u.solve_galerkin(dataclasses.replace(prob, kernel=kern), u.make_mesh(n), 1, opts)
+    grid = n * opts.quad_points
+    assert sizes["psi"] == [grid] * (sol.iterations + 1)
+    assert sizes["dpsi"] == [grid] * (sol.iterations if method == "newton" else 0)
+
+
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green", "zero-kernel"])
 def test_picard_and_newton_agree_on_every_builtin(problem_id):
     prob = u.get_problem(problem_id)
