@@ -19,23 +19,19 @@ __all__ = [
 
 MAX_POINTS = 64
 
-# A far-field block is probed at both end nodes of its source cells, on
-# _PROBE_POINTS Chebyshev points of its target cells.  A probe needs as
-# many points as it has Chebyshev coefficients before the first two in a
-# row at most _RESOLVED times the largest, plus _MARGIN; a probe with no
-# such pair, or with no nonzero coefficient, does not resolve.  The block
-# needs the larger of its two probes and is interpolated when that is at
-# most half its targets, so blocks with fewer than 2 (1 + _MARGIN) targets
-# get no probe.
+# A level of far-field blocks resolves at q Chebyshev points when the last
+# two coefficients of its interpolated values are at most _RESOLVED times
+# the largest on the level; else it retries on the 2q - 1 nested points, up
+# to _MAX_CHEBYSHEV.  The top level starts at _FIRST_CHEBYSHEV points, each
+# deeper one _MARGIN past the coefficients its parent needed on its blocks.
 _RESOLVED = 1e-14
-_PROBE_POINTS = 64
-_MARGIN = 1
+_FIRST_CHEBYSHEV = 17
+_MAX_CHEBYSHEV = 65
+_MARGIN = 2
 
-# A level that is evaluated wholly at its targets, because some block does
-# not resolve, takes its nodes in chunks of whole target cells of m points:
-# at most _CHUNK kernel values per call, or the m p values of one target
-# cell against each of the level's source cells (n m p at most) when that
-# is more.  This bounds the working memory of such a level.
+# A level that does not resolve is evaluated at its targets in chunks of
+# whole target cells of m points: at most _CHUNK kernel values per call, or
+# one target cell against each source cell of the level when that is more.
 _CHUNK = 2 ** 16
 
 
@@ -75,12 +71,13 @@ def _sampled(g, t) -> np.ndarray:
     return np.broadcast_to(np.asarray(g(t), dtype=float), np.shape(t))
 
 
+@cache
 def _chebyshev(q: int):
-    """The q Chebyshev points of the second kind on [-1, 1], from 1 down to
-    -1, and their barycentric weights."""
+    """The q <= _MAX_CHEBYSHEV Chebyshev points of the second kind on [-1,
+    1], from 1 down to -1, and their barycentric weights, built once."""
     bary = np.where(np.arange(q) % 2, -1.0, 1.0)
     bary[[0, -1]] *= 0.5
-    return np.cos(np.pi * np.arange(q) / max(q - 1, 1)), bary
+    return _frozen(np.cos(np.pi * np.arange(q) / max(q - 1, 1)), bary)
 
 
 def _mapped(x, lo, hi):
@@ -89,17 +86,15 @@ def _mapped(x, lo, hi):
     return np.multiply.outer(lo, 0.5 * (1.0 - x)) + np.multiply.outer(hi, 0.5 * (1.0 + x))
 
 
+@cache
 def _to_coefficients(q: int) -> np.ndarray:
     """The matrix from values at the q Chebyshev points of the second kind
-    to the coefficients of their Chebyshev interpolant (a DCT-I)."""
+    to the coefficients of their interpolant (a DCT-I), built once."""
     k = np.arange(q)
     mat = np.cos(np.pi * np.outer(k, k) / (q - 1)) * (2.0 / (q - 1))
     mat[:, [0, -1]] *= 0.5
     mat[[0, -1]] *= 0.5
-    return mat
-
-
-_PROBE_COEFFICIENTS = _to_coefficients(_PROBE_POINTS).T
+    return _frozen(mat)[0]
 
 
 def _interpolation(xi, x, bary) -> np.ndarray:
@@ -120,12 +115,9 @@ class _Level(NamedTuple):
     target, fn1 blocks (sources left of the targets) first, and their
     targets, block by block."""
 
-    tgt: np.ndarray  # (B, 2) target cells [lo, hi)
-    src: np.ndarray  # (B, 2) source cells [lo, hi)
     lo: np.ndarray  # (B,) the interval of the target cells
     hi: np.ndarray
     count: np.ndarray  # (B,) targets per block
-    probe: np.ndarray  # (B,) row of each block's probe, -1 for none
     targets: np.ndarray  # (R,) index of each target among the points
     block: np.ndarray  # (R,) the block of each target
     col: np.ndarray  # (R,) its place among the targets of its block
@@ -134,6 +126,50 @@ class _Level(NamedTuple):
     cell_block: np.ndarray  # (C,) the block of each
     first_cell: np.ndarray  # (B,) where each block's source cells start
     split: int  # the first source cell of an fn2 block
+    tgt_cells: np.ndarray  # (B, mt) target cells, the spare cell n past a block's last
+    src_cells: np.ndarray  # (B, ms) source cells, likewise
+    gather: np.ndarray  # (B, ms) their places in ``cells``, then the places after
+    width: float  # of the widest block's target cells
+
+
+class _Kept:
+    """A level's geometry for q Chebyshev points, read-only: ``interp`` (B,)
+    marks the blocks with more than q targets, ``nodes`` (B, Q) holds Q = q
+    points (or the most targets if none has more), the other blocks'
+    targets in front.  On first use: ``weights``, the distinct rows (U, Q)
+    from node values to a target and each target's row (R,); ``test_sums``."""
+
+    def __init__(self, lev: _Level, q: int, s: np.ndarray):
+        self.lev, self.interp, self._sums = lev, lev.count > q, {}
+        x = _chebyshev(q if self.interp.any() else int(lev.count.max()))[0]
+        direct = np.flatnonzero(~self.interp[lev.block])
+        self.nodes = _mapped(x, lev.lo, lev.hi)
+        self.nodes[lev.block[direct], lev.col[direct]] = s[lev.targets[direct]]
+        _frozen(self.nodes)
+
+    @cached_property
+    def weights(self):
+        lev, (x, bary) = self.lev, _chebyshev(self.nodes.shape[1])
+        key = np.where(self.interp[lev.block], lev.xi, x.take(lev.col, mode="clip"))  # or its node
+        key, inverse = np.unique(key, return_inverse=True)
+        return _frozen(_interpolation(key, x, bary), inverse.ravel())
+
+    def test_sums(self, r: int, test: np.ndarray):
+        """(sums, rows, cols): test (m, r) on each target cell's weights."""
+        if r not in self._sums:
+            lev, (weights, inverse) = self.lev, self.weights
+            (blocks, cells), m = lev.tgt_cells.shape, test.shape[0]
+            first = np.cumsum(lev.count) - lev.count
+            at = np.minimum(first[:, None] + np.arange(cells * m), inverse.size - 1)
+            sums = test.T @ weights[inverse[at]].reshape(blocks, cells, m, -1)
+            self._sums[r] = _frozen(sums.reshape(blocks, cells * r, -1),
+                                    _spread(lev.tgt_cells, r), _spread(lev.src_cells, r))
+        return self._sums[r]
+
+
+def _spread(cells: np.ndarray, r: int) -> np.ndarray:
+    """The r rows of each cell (B, k): (B, k r)."""
+    return (cells[:, :, None] * r + np.arange(r)).reshape(len(cells), -1)
 
 
 def _ranges(bounds: np.ndarray):
@@ -150,32 +186,22 @@ class SplitOperator:
     For each s in cell j, the integrand's first piece is integrated over
     the regular Gauss panels of cells 0..j-1 and the sub-panel [t_j, s], the
     second piece over the sub-panel [s, t_{j+1}] and cells j+1..n-1.  No
-    panel straddles a mesh point or the split.  A sub-panel of zero width
-    (s on a mesh point) carries zero weights.
-
-    The geometry is built once: the regular (n, p) node grid ``t`` with the
-    panel weights ``w`` shared by every cell, the split cell ``cells`` of
-    each s, and its sub-panel nodes ``t_sub`` (S, 2p) with weights ``w_sub``
-    (first p columns on [t_j, s], last p on [s, t_{j+1}]).  So are, on
-    first use for each order r of x, the basis tables of both node sets.
-    The operator keeps only such arrays, which do not depend on x, read-only.
+    panel straddles a mesh point or the split; a sub-panel of zero width
+    (s on a mesh point) carries zero weights.  Built once and kept
+    read-only: the node grid ``t`` (n, p) with the panel weights ``w``, the
+    split cell ``cells`` of each s, its sub-panel nodes ``t_sub`` (S, 2p)
+    and weights ``w_sub`` (first p columns on [t_j, s]), and on first use
+    the basis tables of both node sets for each order r of x.
 
     The regular cells are reached through an even bisection of the cells
-    into a binary tree, built on the first split-panel call.  At each node
-    the targets in the right child see the left child only through fn1,
-    and those in the left child see the right child only through fn2.  Each
-    piece is smooth in s on its own triangle, so such a block is evaluated
-    at q Chebyshev points of its target cells and interpolated to its
-    targets.  q is chosen per level, at every call, from the Chebyshev
-    coefficients of two probes of each block (the piece at the first and
-    the last node of its source cells) down to about eps.  A block is
-    interpolated only when both probes resolve, neither of them zero, with
-    at most half as many points as the block has targets, and it has more
-    targets than q; any other block is evaluated at its targets by the same
-    code, with unit weights.  The work is batched level by level: two
-    kernel calls per level (more for a level evaluated wholly at its
-    targets, in chunks of whole target cells), two for the probes of all
-    levels and two for the sub-panels.
+    into a binary tree.  At each node the targets in the right child see
+    the left child only through fn1, those in the left child the right
+    child only through fn2.  Each piece is smooth in s on its own triangle,
+    so a block with more targets than q is evaluated at q Chebyshev points
+    of its target cells and interpolated; the others at their targets.
+    Each level checks its q at every call (``_resolve``) and keeps what
+    does not depend on x for each q (``_Kept``): two kernel calls per level
+    and try (more, in chunks, at the targets) and two for the sub-panels.
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
@@ -193,7 +219,7 @@ class SplitOperator:
         grid_cells = np.arange(mesh.n)[:, None]
         _frozen(self.s, self.cells, self.t, self.w, self.t_sub, self.w_sub, grid_cells)
         self._nodes = ((self.t, grid_cells), (self.t_sub, cells[:, None]))
-        self._tables = {}
+        self._tables, self._kept = {}, {}
 
     def basis(self, r: int):
         """``basis_table`` of order r at the clipped cell-local coordinates
@@ -218,17 +244,13 @@ class SplitOperator:
         return _sampled(x, t)
 
     @cached_property
-    def _tree(self):
-        """(levels, probes): the ``_Level`` of every depth of the cell tree,
-        and the probes of all levels as s (P, _PROBE_POINTS), the flat
-        indices of the first and the last source node in the node grid
-        (P, 2) and whether it is an fn2 probe (P,)."""
-        n, p, pts = self.mesh.n, self.rule.p, self.mesh.points
+    def _tree(self) -> list:
+        """The ``_Level`` of every depth of the cell tree that has a block
+        with some target, top first."""
+        n, pts = self.mesh.n, self.mesh.points
         order = np.argsort(self.cells, kind="stable")
         first = np.searchsorted(self.cells[order], np.arange(n + 1))
-        x_probe = _chebyshev(_PROBE_POINTS)[0]
-        levels, probes = [], []
-        nodes = [(0, n)]
+        levels, nodes = [], [(0, n)]
         while nodes := [(lo, hi) for lo, hi in nodes if hi - lo > 1]:
             left = [(lo, (lo + hi) // 2) for lo, hi in nodes]
             right = [((lo + hi) // 2, hi) for lo, hi in nodes]
@@ -246,93 +268,90 @@ class SplitOperator:
             lo, hi = pts[tgt[:, 0]], pts[tgt[:, 1]]
             s = self.s[order[pos]]
             xi = ((s - lo[block]) - (hi[block] - s)) / (hi - lo)[block]  # -1 and 1 exactly
-            # each block's piece at the first and the last node of its sources
-            ask = np.flatnonzero(count >= 2 * (1 + _MARGIN))
-            probe = np.full(len(tgt), -1)
-            probe[ask] = sum(len(a) for a, _, _ in probes) + np.arange(ask.size)
-            probes.append((_mapped(x_probe, lo[ask], hi[ask]), src[ask] * p - [0, 1],
-                           ask >= half))
             cells, first_cell = _ranges(src)
+            m_t, m_s = np.diff(tgt).ravel(), np.diff(src).ravel()
+            local, ms = np.arange(m_t.max()), np.arange(m_s.max())
             levels.append(_Level(
-                tgt=tgt, src=src, lo=lo, hi=hi, count=count, probe=probe,
+                lo=lo, hi=hi, count=count,
                 targets=order[pos], block=block, col=pos - rows[block, 0], xi=xi, cells=cells,
-                cell_block=np.repeat(np.arange(len(tgt)), np.diff(src).ravel()),
-                first_cell=first_cell, split=first_cell[half] if half < len(tgt) else cells.size))
-        s = np.concatenate([np.empty((0, _PROBE_POINTS))] + [a for a, _, _ in probes])
-        at = np.concatenate([np.empty((0, 2), dtype=int)] + [a for _, a, _ in probes])
-        of_fn2 = np.concatenate([np.empty(0, dtype=bool)] + [a for _, _, a in probes])
-        return levels, (s, at, of_fn2)
+                cell_block=np.repeat(np.arange(len(tgt)), m_s),
+                first_cell=first_cell, split=first_cell[half] if half < len(tgt) else cells.size,
+                tgt_cells=np.where(local < m_t[:, None], tgt[:, :1] + local, n),
+                src_cells=np.where(ms < m_s[:, None], src[:, :1] + ms, n),
+                gather=np.minimum(first_cell[:, None] + ms, cells.size - 1),
+                width=float((hi - lo).max())))
+        return levels
 
-    def _ranks(self, fn1, fn2, x_reg) -> list:
-        """For every level, q and which blocks are interpolated."""
-        levels, (s, at, of_fn2) = self._tree
-        t = self.t.ravel()[at, None]  # (P, 2, 1)
-        xv = x_reg.reshape((-1,) + x_reg.shape[2:])[at, None]  # a pair (x, v) keeps its axis
-        vals = np.empty(at.shape + (_PROBE_POINTS,))  # (P, 2, _PROBE_POINTS)
-        for fn, rows in ((fn1, ~of_fn2), (fn2, of_fn2)):
-            vals[rows] = _piece(fn, s[rows, None], t[rows], xv[rows],
-                                (rows.sum(),) + vals.shape[1:])
-        mag = np.abs(vals @ _PROBE_COEFFICIENTS)  # Chebyshev coefficients of each probe
-        top = mag.max(axis=2)
-        small = mag <= _RESOLVED * top[..., None]
-        tail = small[..., :-1] & small[..., 1:]  # two small coefficients in a row
-        # a probe that is zero tells nothing of the piece near its node
-        need = np.where(tail.any(axis=2) & (top > 0), np.argmax(tail, axis=2), _PROBE_POINTS)
-        need = need.max(axis=1)  # both ends of each block's sources
-        need = np.append(need, _PROBE_POINTS)  # what probe -1 reads: not resolved
-        ranks = []
-        for lev in levels:
-            need_here = need[lev.probe] + _MARGIN
-            # worth it: resolved, with at most half as many points as targets
-            worth = (need_here <= _PROBE_POINTS) & (2 * need_here <= lev.count)
-            q = max(2, int(need_here[worth].max(initial=0)))
-            ranks.append((q, worth & (lev.count > q)))
-        return ranks
+    def _kept_at(self, level: int, q: int) -> _Kept:
+        """The ``_Kept`` of a level for q Chebyshev points, built once."""
+        if (level, q) not in self._kept:
+            self._kept[level, q] = _Kept(self._tree[level], q, self.s)
+        return self._kept[level, q]
 
-    def _far_field(self, fn1, fn2, x, against, m):
-        """Level by level, ``(level, start, weights, values)``.  Every block
-        of the level gets Q nodes: the Chebyshev points of its target
-        cells, with a direct block's own targets in front.  ``weights``
-        (R, Q) take the values at a block's nodes to its targets,
-        interpolating or picking a node; ``values`` (C, Q, ...) hold
-        fn(node, t, x(t)) against ``against``, (p,) or (p, r), over the
-        Gauss nodes of each source cell.  A level whose direct blocks hold
-        more than 2q targets (some block does not resolve) is evaluated
-        wholly at the targets: ``weights`` is None, target i reads node
-        ``col[i]``, and the nodes come in chunks of a multiple of m (whole
-        cells when each holds m targets), ``values`` holding nodes
-        ``start`` onwards."""
-        p = self.rule.p
+    def _far_field(self, fn1, fn2, x, against, m, summed: bool):
+        """Level by level, ``(level, kept, start, values)``: fn(node, t,
+        x(t)) against ``against`` (p,) or (p, r) on each source cell (C, Q,
+        ...), or with ``summed`` on each block (B, Q), at the nodes of
+        ``kept``; for a level that does not resolve, kept None, at its
+        targets (target i at node ``col[i]``) in chunks of whole cells of m."""
+        p, q = self.rule.p, _FIRST_CHEBYSHEV
         x_reg = self._sample(x, sub=False)
-        for lev, (q, interp) in zip(self._tree[0], self._ranks(fn1, fn2, x_reg)):
-            size = int(lev.count[~interp].max(initial=0))
-            weighted = interp.any() and size <= 2 * q
-            x_cheb, bary = _chebyshev(max(q, size) if weighted else int(lev.count.max()))
-            nodes = _mapped(x_cheb, lev.lo, lev.hi)  # (B, Q)
-            weights = _interpolation(lev.xi, x_cheb, bary) if weighted else None
-            if size:
-                direct = np.flatnonzero(~interp[lev.block]) if weighted else slice(None)
-                cols = lev.col[direct]
-                nodes[lev.block[direct], cols] = self.s[lev.targets[direct]]
-                if weighted:
-                    weights[direct] = 0.0
-                    weights[direct, cols] = 1.0
-            chunk_cells = max(1, _CHUNK // (lev.cells.size * m * p))
-            width = x_cheb.size if weighted else m * chunk_cells
-            for start in range(0, x_cheb.size, width):
-                yield lev, start, weights, self._against(
-                    fn1, fn2, nodes[:, start:start + width], lev, x_reg, against)
+        for i, lev in enumerate(self._tree):
+            def values_at(nodes, lev=lev):
+                values = self._against(fn1, fn2, nodes, lev, x_reg, against)
+                return np.add.reduceat(values, lev.first_cell) if summed else values
+
+            kept, values, q = self._resolve(i, q, values_at, summed)
+            if kept is not None:
+                yield lev, kept, 0, values
+                continue
+            nodes = np.repeat(lev.lo[:, None], int(lev.count.max()), axis=1)
+            nodes[lev.block, lev.col] = self.s[lev.targets]
+            width = m * max(1, _CHUNK // (lev.cells.size * m * p))
+            for start in range(0, nodes.shape[1], width):
+                yield lev, None, start, values_at(nodes[:, start:start + width])
+
+    def _resolve(self, level: int, q: int, values_at, summed: bool):
+        """``(kept, values, next q)`` where the level's interpolated rows
+        (blocks, or source cells unless ``summed``) resolve, the next level
+        starting at the coefficients needed here scaled by (w'/w)^k.  None,
+        None and q when a row is zero at every point (no sign of its
+        smoothness), or no q up to _MAX_CHEBYSHEV resolves the same blocks."""
+        start, lev, kept = q, self._tree[level], self._kept_at(level, q)
+        values = values_at(kept.nodes)
+        rows = kept.interp if summed else kept.interp[lev.cell_block]
+        if not rows.any():
+            return kept, values, q
+        cheb = values[rows]
+        if not cheb.reshape(len(cheb), -1).any(axis=1).all():
+            return None, None, start
+        while True:  # mag: each coefficient's largest on the level
+            mag = np.abs(cheb.reshape(len(cheb), q, -1).swapaxes(1, 2).reshape(-1, q)
+                         @ _to_coefficients(q).T).max(axis=0)
+            if max(mag[-2:]) <= _RESOLVED * mag.max():
+                break
+            q = 2 * q - 1  # the q points are every other one of these
+            if q > _MAX_CHEBYSHEV or np.any(lev.count[kept.interp] <= q):
+                return None, None, start
+            kept, both = self._kept_at(level, q), np.empty((len(cheb), q) + cheb.shape[2:])
+            both[:, ::2], both[:, 1::2] = cheb, values_at(kept.nodes[:, 1::2])[rows]
+            cheb = both
+        if q > start:  # the other blocks keep the values at their targets
+            values = np.pad(values, [(0, 0), (0, q - start)] + [(0, 0)] * (values.ndim - 2))
+            values[rows] = cheb
+        ratio = self._tree[level + 1].width / lev.width if level + 1 < len(self._tree) else 1.0
+        small = mag * ratio ** np.arange(q) <= _RESOLVED * mag.max()
+        return kept, values, max(int(np.argmax(small[:-1] & small[1:])) + _MARGIN, 3)
 
     def _against(self, fn1, fn2, nodes, lev, x_reg, against) -> np.ndarray:
-        """For every source cell of the level, fn at the nodes of its block
-        (fn1 for the cells of fn1 blocks, fn2 after) against ``against`` on
-        the cell's Gauss nodes: (C, Q) + against.shape[1:]."""
+        """fn1, then fn2 from cell ``split``, at the nodes of each source
+        cell's block against ``against`` on its Gauss nodes: (C, Q, ...)."""
         t, xv = self.t[lev.cells][:, None, :], x_reg[lev.cells][:, None, :]
         s, k = nodes[lev.cell_block][:, :, None], lev.split
         shape = (s.shape[1], self.rule.p)
         out = np.empty(s.shape[:2] + against.shape[1:])
-        out[:k] = _piece(fn1, s[:k], t[:k], xv[:k], (k,) + shape) @ against
-        out[k:] = _piece(fn2, s[k:], t[k:], xv[k:], (len(s) - k,) + shape) @ against
+        out[:k] = _piece(fn1, (k,) + shape, s[:k], t[:k], xv[:k]) @ against
+        out[k:] = _piece(fn2, (len(s) - k,) + shape, s[k:], t[k:], xv[k:]) @ against
         return out
 
     def _sub_panels(self, fn1, fn2, x) -> np.ndarray:
@@ -341,20 +360,20 @@ class SplitOperator:
         p = self.rule.p
         x_sub = self._sample(x, sub=True)
         col, shape = self.s[:, None], (self.s.size, p)
-        return np.concatenate([_piece(fn1, col, self.t_sub[:, :p], x_sub[:, :p], shape),
-                               _piece(fn2, col, self.t_sub[:, p:], x_sub[:, p:], shape)], axis=1)
+        return np.concatenate([_piece(fn1, shape, col, self.t_sub[:, :p], x_sub[:, :p]),
+                               _piece(fn2, shape, col, self.t_sub[:, p:], x_sub[:, p:])], axis=1)
 
     def apply(self, fn1, fn2, x) -> np.ndarray:
         """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
         every s."""
         out = np.einsum("sk,sk->s", self._sub_panels(fn1, fn2, x), self.w_sub)
-        for lev, start, weights, values in self._far_field(fn1, fn2, x, self.w, self.rule.p):
-            at_nodes = np.add.reduceat(values, lev.first_cell)  # (B, nodes from start)
-            if weights is None:
+        for lev, kept, start, at_nodes in self._far_field(fn1, fn2, x, self.w, self.rule.p,
+                                                          summed=True):
+            if kept is None:
                 here = (lev.col >= start) & (lev.col < start + at_nodes.shape[1])
                 out[lev.targets[here]] += at_nodes[lev.block[here], lev.col[here] - start]
             else:
-                out[lev.targets] += np.einsum("rq,rq->r", weights, at_nodes[lev.block])
+                out[lev.targets] += (at_nodes @ kept.weights[0].T)[lev.block, kept.weights[1]]
         return out
 
     def matrix(self, fn1, fn2, x, r: int, outer: GaussRule) -> np.ndarray:
@@ -365,12 +384,9 @@ class SplitOperator:
         it.  Shape (n r, n r).
 
         The points must be the outer rule's nodes in every cell, cell by
-        cell (``mesh.grid(outer.nodes)``).  The test weights and the basis
-        at the sub-panel nodes and at this operator's rule's nodes are built
-        here.  A far-field block enters as a rank-Q product: the test sums
-        of the interpolation weights on its target cells times fn at the
-        Chebyshev points against the basis on its source cells.  Only the
-        diagonal blocks use the sub-panels.
+        cell.  A far-field block enters as a rank-Q product: the test sums
+        of its weights times fn at its nodes against the basis on its source
+        cells.  Only the diagonal blocks use the sub-panels.
         """
         from .piecewise import basis_table  # piecewise imports this module
         n, m, h = self.mesh.n, outer.p, self.mesh.h
@@ -384,28 +400,17 @@ class SplitOperator:
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
         regular = self.w[:, None] * (inv_sqrt_h * basis_table(r, self.rule.nodes))  # (p, r)
-        for lev, start, weights, values in self._far_field(fn1, fn2, x, regular, m):
-            m_t, m_s = np.diff(lev.tgt).ravel(), np.diff(lev.src).ravel()
-            ms, (cells, nodes) = m_s.max(), values.shape[:2]
-            # every block padded to ms source cells
-            rhs = values[np.minimum(lev.first_cell[:, None] + np.arange(ms), cells - 1)]
-            rhs = rhs.transpose(0, 2, 1, 3).reshape(len(m_t), nodes, ms * r)
-            if weights is None:  # the nodes are the targets of whole cells
+        for lev, kept, start, values in self._far_field(fn1, fn2, x, regular, m, summed=False):
+            blocks, nodes = len(lev.count), values.shape[1]  # padded to the most source cells:
+            rhs = values[lev.gather].transpose(0, 2, 1, 3).reshape(blocks, nodes, -1)
+            if kept is None:  # the nodes are the targets of whole cells
                 local = start // m + np.arange(nodes // m)
-                block = test.T @ rhs.reshape(len(m_t), len(local), m, ms * r)
+                block = test.T @ rhs.reshape(blocks, local.size, m, -1)
+                rows, cols = _spread(lev.tgt_cells[:, local], r), _spread(lev.src_cells, r)
             else:  # every block padded to the most target cells
-                local = np.arange(m_t.max())
-                first_target = np.cumsum(m_t * m) - m_t * m
-                rows = np.minimum(first_target[:, None] + np.arange(local.size * m),
-                                  len(weights) - 1)
-                lhs = test.T @ weights[rows].reshape(len(m_t), local.size, m, nodes)
-                block = lhs.reshape(len(m_t), local.size * r, nodes) @ rhs
-            rows = np.where(local < m_t[:, None], lev.tgt[:, :1] + local, n)
-            cols = np.where(np.arange(ms) < m_s[:, None], lev.src[:, :1] + np.arange(ms), n)
-            rows = (rows[:, :, None] * r + np.arange(r)).reshape(len(m_t), local.size * r)
-            cols = (cols[:, :, None] * r + np.arange(r)).reshape(len(m_t), ms * r)
-            mat[rows[:, :, None], cols[:, None, :]] = block.reshape(len(m_t), local.size * r,
-                                                                    ms * r)
+                sums, rows, cols = kept.test_sums(r, test)
+                block = sums @ rhs
+            mat[rows[:, :, None], cols[:, None, :]] = block.reshape(blocks, rows.shape[1], -1)
         return mat[:n * r, :n * r]
 
     def _test_weights(self, r: int, outer: GaussRule) -> np.ndarray:
@@ -428,13 +433,9 @@ class SplitOperator:
     def separable(self, a1, b1, a2, b2):
         """The function (g, x) -> integral of a1(s) b1(t) g(t, x(t)) over
         [0, s] plus a2(s) b2(t) g(t, x(t)) over [s, 1], at every s, by
-        prefix sums.  The four factors are sampled here, once.
-
-        The cells left of the split cell enter through a cumulative sum of
-        the cell integrals of b1 g, those right of it through a reversed
-        one of b2 g; only the two sub-panels depend on s.  Cost per call: g
-        at n p + 2 p S points and no (S, n, p) block.
-        """
+        prefix sums of the cell integrals of b1 g and b2 g (reversed); only
+        the two sub-panels depend on s.  The factors are sampled here, once;
+        a call reads g at n p + 2 p S points, with no (S, n, p) block."""
         return self._integrator(self._factors(a1, b1, a2, b2))
 
     def _integrator(self, factors):
@@ -442,10 +443,11 @@ class SplitOperator:
         p = self.rule.p
         a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = factors
 
-        def integrate(g, x) -> np.ndarray:
-            g_reg = np.asarray(g(self.t, self._sample(x, sub=False)), dtype=float) * self.w
+        def integrate(g, x, g_reg=None) -> np.ndarray:  # g_reg: g on the grid, if sampled
+            g_w = self.w * (_piece(g, self.t.shape, self.t, self._sample(x, sub=False))
+                            if g_reg is None else g_reg)
             g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
-            before, after = _prefix_sums(b1_reg * g_reg, b2_reg * g_reg)
+            before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
             left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
             right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
             return a1_s * left + a2_s * right
@@ -462,11 +464,9 @@ class SplitOperator:
         sub-panel sums of the test weights times a b L_l, the other cells as
         the prefix sums times the test sums of a1 and a2 (rank-one Jacobian
         blocks).  Exact to roundoff for g of degree < p on every cell; a call
-        in which g (or dg phi_b) has, in some cell, one of its last two
-        Legendre coefficients above _RESOLVED times the largest over all
-        cells, or is not finite, takes ``separable`` or ``matrix`` (on the
-        derivative pieces fn1, fn2) instead.
-        """
+        in which g (or dg phi_b) is not finite or has, in some cell, one of
+        its last two Legendre coefficients above _RESOLVED times the largest
+        over all cells takes ``separable`` or ``matrix`` on fn1, fn2."""
         from .piecewise import basis_table  # piecewise imports this module
         n, m, p, h = self.mesh.n, outer.p, self.rule.p, self.mesh.h
         test = self._test_weights(r, outer)  # (m, r)
@@ -488,21 +488,17 @@ class SplitOperator:
             top = coeffs.max()
             return bool(np.isfinite(top)) and not np.any(coeffs[:, -2:] > _RESOLVED * top)
 
-        def on_grid(g, x) -> np.ndarray:  # g(t, x(t)) on the node grid, (n, p)
-            return np.broadcast_to(np.asarray(g(self.t, self._sample(x, sub=False)),
-                                              dtype=float), self.t.shape)
-
         def value(g, x):
-            g_reg = on_grid(g, x)
+            g_reg = _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
             if not resolved(g_reg[..., None]):
-                return to_coeffs(self._integrator(factors)(g, x))
+                return to_coeffs(self._integrator(factors)(g, x, g_reg))
             g_w = g_reg * self.w
             before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
             return (pa1 * before[:-1, None] + pa2 * after[1:, None]
                     + np.einsum("jl,jli->ji", g_reg, split))
 
         def jacobian(dg, x, fn1, fn2):
-            d_phi = on_grid(dg, x)[..., None] * phi
+            d_phi = _piece(dg, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
             if not resolved(d_phi):
                 return self.matrix(fn1, fn2, x, r, outer)
             q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
@@ -522,7 +518,8 @@ def _prefix_sums(b1g: np.ndarray, b2g: np.ndarray):
     return before, after
 
 
-def _piece(fn, s, t, xv, shape):
-    """fn(s, t, x(t)) broadcast to the block shape (kernels may return
-    scalars or arrays independent of some argument)."""
-    return np.broadcast_to(np.asarray(fn(s, t, xv), dtype=float), shape)
+def _piece(fn, shape, *args):
+    """fn(*args) broadcast to the block shape (kernels may return scalars
+    or arrays independent of some argument)."""
+    out = np.asarray(fn(*args), dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)

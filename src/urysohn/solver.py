@@ -163,11 +163,13 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     )
 
 
+@np.errstate(all="ignore")
 def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
     """The one Picard/Newton loop for the fixed point c = value(c).
 
     Picard takes c <- value(c); Newton solves (I - jacobian(c)) delta =
     value(c) - c.  The update is the sup of the change times ``scale``.
+    Float warnings are off: an overflow ends in a non-finite update here.
     Returns ``(c, iterations, update)``; every DivergenceError carries
     ``as_poly`` of the last iterate it accepted.
     """

@@ -99,6 +99,24 @@ def test_smallest_normal_gamma_scale_still_solves(tmp_path):
         assert main(["study", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 0
 
 
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_tiny_gamma_printed_rhs_diverges_with_one_message_and_no_warning(tmp_path, capsys,
+                                                                          method):
+    """gamma = 1e-150 passes the scale check, but the printed right-hand side
+    (about 2/gamma) makes psi overflow in the first iteration: exit 2 with
+    one message, and no numpy warning even when warnings are errors."""
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"problem_id": "paper-hammerstein", "params": {"gamma": 1e-150},
+                                "rhs_mode": "paper", "r": 1, "n_sequence": [4, 8],
+                                "method": method}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "non-finite update" in err
+    assert "Traceback" not in err
+
+
 def test_divergence_exit_code(tmp_path, capsys):
     cfg = {
         "problem_id": "linear-green",

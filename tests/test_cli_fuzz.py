@@ -4,6 +4,8 @@ no exception escapes ``main``."""
 
 import contextlib
 import io
+import json
+import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,3 +74,39 @@ def test_cli_exit_code_is_documented(argv):
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
         code = main(argv)
     assert code in (0, 2, 3), argv
+
+
+def _magnitude():
+    """m 10^k from 1e-320 to 1e320, log-uniform over the exponent; past the
+    largest double it reads as inf."""
+    return st.builds(lambda m, k: float(f"{m}e{k}"), st.floats(1.0, 9.99), st.integers(-320, 320))
+
+
+_BAD = st.sampled_from([0.0, -0.0, "x", None, True, [1.0], {"a": 1}])
+_VALUE = st.one_of(_magnitude(), _magnitude().map(lambda v: -v), _BAD)
+
+
+@st.composite
+def _config(draw):
+    params = {key: draw(_VALUE) for key in ("gamma", "scale") if draw(st.booleans())}
+    n0 = draw(st.integers(1, 2))
+    return {"problem_id": draw(st.sampled_from(PROBLEM_IDS)), "params": params,
+            "rhs_mode": draw(st.sampled_from(["manufactured", "paper"])),
+            "method": draw(st.sampled_from(["picard", "newton"])),
+            "r": draw(st.integers(1, 3)), "n_sequence": [n0, 2 * n0]}
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(config=_config())
+def test_config_params_exit_code_is_documented_without_warnings(tmp_path_factory, config):
+    """Problem parameters through ``--config``: gamma and scale from 1e-320
+    to 1e320 in magnitude, either sign, zero and not numbers.  Every run
+    ends in 0, 2 or 3, with no exception and no warning."""
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(config))
+    sink = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(sink), \
+            contextlib.redirect_stderr(sink):
+        warnings.simplefilter("error")
+        code = main(["study", "--config", str(path)])
+    assert code in (0, 2, 3), (config, sink.getvalue()[-300:])

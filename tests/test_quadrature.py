@@ -328,8 +328,16 @@ def test_tree_matches_dense_split_panels(gamma):
                                            err_msg=f"matrix {msg}")
 
 
+def interpolated_levels(op, fn1, fn2, x):
+    """Whether an apply interpolates each level of the operator's tree."""
+    seen = {}
+    for lev, kept, _, _ in op._far_field(fn1, fn2, x, op.w, op.rule.p, summed=True):
+        seen[id(lev)] = kept is not None
+    return list(seen.values())
+
+
 def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
-    """Pieces that oscillate in s too fast for the probe on the wide blocks:
+    """Pieces that oscillate in s too fast for the wide blocks to resolve:
     those blocks are evaluated at their targets, more than one kernel call's
     worth of nodes at a time, the narrow ones are still interpolated, and K
     and the Newton matrix match the dense oracles.  The matrix also on 10
@@ -341,10 +349,9 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
     x = u.project(np.exp, mesh, 2)
     s = np.concatenate((tree_points(mesh), np.random.default_rng(8).random(1500)))
     op = SplitOperator(mesh, rule, s)
-    levels = op._tree[0]
-    ranks = [interp for _, interp in op._ranks(fn1, fn2, x(op.t))]
-    assert levels[0].count.min() > 64 and not ranks[0].any()
-    assert any(interp.any() for interp in ranks[1:])
+    interpolated = interpolated_levels(op, fn1, fn2, x)
+    assert op._tree[0].count.min() > 64 and not interpolated[0]
+    assert any(interpolated[1:])
     want = dense_split(fn1, fn2, x, s, mesh, rule).sum(axis=1)
     np.testing.assert_allclose(op.apply(fn1, fn2, x), want, rtol=1e-13,
                                atol=1e-13 * np.abs(want).max())
@@ -356,8 +363,8 @@ def test_tree_falls_back_to_direct_blocks_that_do_not_resolve():
 
     rule, outer = u.gauss_rule(7), u.gauss_rule(10)
     op = SplitOperator(mesh, rule, mesh.grid(outer.nodes))
-    top = op._tree[0][0]
-    assert not op._ranks(fn1, fn2, x(op.t))[0][1].any()
+    top = op._tree[0]
+    assert not interpolated_levels(op, fn1, fn2, x)[0]
     assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
     got = other_points_matrix(prob, x, mesh, 2, rule, outer)
     want = dense_matrix(fn1, fn2, x, mesh, 2, rule, outer)
@@ -454,8 +461,8 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
                 u.project(np.sin, other, r), lambda t: 0.5 + t * t, u.project(np.exp, mesh, r)]
     v = u.project(lambda t: np.cos(3.0 * t), other, r)
     if kind == "oscillating":
-        top = op._tree[0][0]
-        assert not op._ranks(*OSCILLATING, iterates[0](op.t))[0][1].any()
+        top = op._tree[0]
+        assert not interpolated_levels(op, *OSCILLATING, iterates[0])[0]
         assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
     for x in iterates:
         fresh = SplitOperator(mesh, rule, points)
@@ -524,9 +531,16 @@ def test_newton_matrix_is_the_jacobian_of_the_affine_coefficient_map(n, r):
 def test_unresolved_psi_takes_the_direct_path_bit_for_bit():
     """psi = exp(u) cos(5 t) is not a polynomial of low degree on one cell:
     at n = 1, r = 3 the coefficients and Newton matrix are the direct
-    path's, bit for bit; on 160 cells it resolves."""
+    path's, bit for bit, and the coefficients read psi at the n p grid
+    points once (the check's sample) and the 2 p S sub-panel points; on 160
+    cells it resolves."""
     base = u.get_problem("paper-hammerstein").kernel
-    wave = lambda t, x: np.exp(x) * np.cos(5.0 * t)
+    points = []
+
+    def wave(t, x):
+        points.append(np.size(t))
+        return np.exp(x) * np.cos(5.0 * t)
+
     kern = dataclasses.replace(base, psi=wave, dpsi=wave)
     mesh, direct, bound, product = solve_operator(kern, 1, 3)
     x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, 3)
@@ -534,7 +548,73 @@ def test_unresolved_psi_takes_the_direct_path_bit_for_bit():
         assert np.array_equal(got(x), want(x))
         with pytest.raises(AssertionError, match="direct path"):
             fails(x)
+    points.clear()
+    bound[0](x)
+    assert sum(points) == mesh.n * 10 + 2 * 10 * (mesh.n * 10)  # p = 10, S = 10 n
     mesh, direct, _, product = solve_operator(kern, 160, 3)
     x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, 3)
     for want, got in zip((f(x) for f in direct), (f(x) for f in product)):
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# --- far-field blocks that check their own coefficients ----------------------
+
+
+def mid_block_kernel(width=0.04, top=80.0):
+    """Pieces cos(w(t) s) u and sin(w(t) s) u whose frequency in s peaks at
+    t = 1/4 (fn1) and t = 3/4 (fn2), the middles of the top blocks' source
+    halves, and is about zero at both ends of those halves."""
+    def freq(t, centre):
+        return top * np.exp(-((t - centre) / width) ** 2)
+
+    fn1 = lambda s, t, x: np.cos(freq(t, 0.25) * s) * x
+    fn2 = lambda s, t, x: np.sin(freq(t, 0.75) * s) * x
+    return u.GreenKernel(fn1, fn2, fn1, fn2)
+
+
+@pytest.mark.parametrize("n", [16, 80])
+def test_tree_resolves_a_piece_least_smooth_in_the_middle_of_its_sources(n):
+    """A piece that is nearly constant in s at both end nodes of a block's
+    sources and oscillates in s at the nodes between them: K and the Newton
+    matrix against the dense oracles, within 1e-13 of their largest value."""
+    kern, rule = mid_block_kernel(), u.gauss_rule(6)
+    mesh = u.make_mesh(n)
+    x = u.project(lambda t: 1.0 / (1.0 + t), mesh, 2)
+    s = tree_points(mesh)
+    want = dense_split(kern.kappa1, kern.kappa2, x, s, mesh, rule).sum(axis=1)
+    got = SplitOperator(mesh, rule, s).apply(kern.kappa1, kern.kappa2, x)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+    prob = u.UrysohnProblem(kern, f=np.cos)
+    want = dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, 2, rule)
+    got = u.assemble_linearized(prob, x, mesh, 2, rule)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+
+def test_operator_keeps_a_bounded_geometry_per_level_and_q():
+    """A solve's operator keeps, for each level and q it is asked for, at
+    most (S + n (2 r + 1)) Q + S + 4 n r entries, Q <= q or the level's
+    most targets, all read-only, and nothing more when the same calls come
+    again with other iterates of the same smoothness."""
+    kern = urysohn_kernel(GAMMA)
+    n, r = 80, 2
+    mesh = u.make_mesh(n)
+    outer, nodes, _ = _projector(mesh, r)
+    op = SplitOperator(mesh, u.gauss_rule(10), nodes)
+
+    def calls(x):
+        op.apply(kern.kappa1, kern.kappa2, x)
+        op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
+
+    calls(u.project(lambda t: 1.0 + np.sin(np.pi * t), mesh, r))
+    kept = dict(op._kept)
+    assert kept
+    for (level, q), geometry in kept.items():
+        arrays = [geometry.nodes, *geometry.__dict__.get("weights", ())]
+        arrays += [a for sums in geometry._sums.values() for a in sums]
+        assert not any(a.flags.writeable for a in arrays)
+        size = geometry.nodes.shape[1]
+        assert size <= max(q, int(op._tree[level].count.max()))
+        assert sum(a.size for a in arrays) <= (nodes.size + n * (2 * r + 1)) * size \
+            + nodes.size + 4 * n * r
+    calls(u.project(lambda t: 1.0 + 0.9 * np.sin(np.pi * t), mesh, r))
+    assert op._kept.keys() == kept.keys()
