@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
 from .problems import get_problem
 from .study import (DISCRETE_MODES, OUTPUT_FORMATS, StudyConfig, _level_options, _render_columns,
-                    _solve_level, emit_report, render_report, run_study)
+                    _solve_level, _write, emit_report, render_report, run_study)
 
 __all__ = ["build_parser", "main"]
 
@@ -84,8 +85,18 @@ def _study_config(args) -> StudyConfig:
     return StudyConfig.from_dict(data)
 
 
+def _check_out(path) -> None:
+    """Fail before any solve when a report cannot be written to path: it
+    is a directory, or its directory does not exist."""
+    if path and os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if path and not os.path.isdir(os.path.dirname(path) or "."):
+        raise ConfigError(f"cannot write {path}: its directory does not exist")
+
+
 def _run_study(args) -> int:
     config = _study_config(args)
+    _check_out(config.output_path)
     report = run_study(config)
     if config.output_path:
         emit_report(report, config.output_format, config.output_path)
@@ -110,6 +121,7 @@ def _run_solve(args) -> int:
              if getattr(args, key) is not None}
     opts = _level_options(args.n, r, discrete_mode, **given)
     prob = get_problem(args.problem_id, rhs_mode=args.rhs_mode or "manufactured")
+    _check_out(args.output_path)
     sol, pv = _solve_level(prob, args.n, r, opts, discrete_mode)
     mesh = pv.mesh
 
@@ -119,8 +131,7 @@ def _run_solve(args) -> int:
         cols += [("exact", exact), ("error", np.abs(exact - pv.values))]
     text = _render_columns(cols, args.output_format or "csv")
     if args.output_path:
-        with open(args.output_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        _write(args.output_path, text)
         print(f"wrote {len(mesh.points)} samples to {args.output_path} "
               f"({sol.iterations} iterations, final update {sol.final_update:.2e})")
     else:

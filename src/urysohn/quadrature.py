@@ -133,26 +133,19 @@ class _Level(NamedTuple):
 
 
 class _Kept:
-    """A level's geometry for q Chebyshev points, read-only: ``interp`` (B,)
-    marks the blocks with more than q targets, ``nodes`` (B, Q) holds Q = q
-    points (or the most targets if none has more), the other blocks'
-    targets in front.  On first use: ``weights``, the distinct rows (U, Q)
-    from node values to a target and each target's row (R,); ``test_sums``."""
+    """A level's geometry for q Chebyshev points, read-only: ``nodes`` (B,
+    q), the points on each block's target cells.  On first use:
+    ``weights``, the distinct rows (U, q) from node values to a target and
+    each target's row (R,); ``test_sums``."""
 
-    def __init__(self, lev: _Level, q: int, s: np.ndarray):
-        self.lev, self.interp, self._sums = lev, lev.count > q, {}
-        x = _chebyshev(q if self.interp.any() else int(lev.count.max()))[0]
-        direct = np.flatnonzero(~self.interp[lev.block])
-        self.nodes = _mapped(x, lev.lo, lev.hi)
-        self.nodes[lev.block[direct], lev.col[direct]] = s[lev.targets[direct]]
-        _frozen(self.nodes)
+    def __init__(self, lev: _Level, q: int):
+        self.lev, self._sums = lev, {}
+        self.nodes = _frozen(_mapped(_chebyshev(q)[0], lev.lo, lev.hi))[0]
 
     @cached_property
     def weights(self):
-        lev, (x, bary) = self.lev, _chebyshev(self.nodes.shape[1])
-        key = np.where(self.interp[lev.block], lev.xi, x.take(lev.col, mode="clip"))  # or its node
-        key, inverse = np.unique(key, return_inverse=True)
-        return _frozen(_interpolation(key, x, bary), inverse.ravel())
+        key, inverse = np.unique(self.lev.xi, return_inverse=True)
+        return _frozen(_interpolation(key, *_chebyshev(self.nodes.shape[1])), inverse.ravel())
 
     def test_sums(self, r: int, test: np.ndarray):
         """(sums, rows, cols): test (m, r) on each target cell's weights."""
@@ -193,15 +186,15 @@ class SplitOperator:
     and weights ``w_sub`` (first p columns on [t_j, s]), and on first use
     the basis tables of both node sets for each order r of x.
 
-    The regular cells are reached through an even bisection of the cells
-    into a binary tree.  At each node the targets in the right child see
-    the left child only through fn1, those in the left child the right
-    child only through fn2.  Each piece is smooth in s on its own triangle,
-    so a block with more targets than q is evaluated at q Chebyshev points
-    of its target cells and interpolated; the others at their targets.
-    Each level checks its q at every call (``_resolve``) and keeps what
-    does not depend on x for each q (``_Kept``): two kernel calls per level
-    and try (more, in chunks, at the targets) and two for the sub-panels.
+    The regular cells are reached through an even bisection of the cells into
+    a binary tree.  At each node the targets in the right child see the left
+    child only through fn1, those in the left child the right child only
+    through fn2.  Each piece is smooth in s on its own triangle, so a level
+    with a block of more than q targets is interpolated from q Chebyshev
+    points on each block's target cells, other levels at their targets.  Each
+    level checks its q at every call (``_resolve``) and keeps what does not
+    depend on x for each q (``_Kept``): two kernel calls per level and try
+    (more, in chunks, at the targets) and two for the sub-panels.
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
@@ -285,15 +278,16 @@ class SplitOperator:
     def _kept_at(self, level: int, q: int) -> _Kept:
         """The ``_Kept`` of a level for q Chebyshev points, built once."""
         if (level, q) not in self._kept:
-            self._kept[level, q] = _Kept(self._tree[level], q, self.s)
+            self._kept[level, q] = _Kept(self._tree[level], q)
         return self._kept[level, q]
 
     def _far_field(self, fn1, fn2, x, against, m, summed: bool):
-        """Level by level, ``(level, kept, start, values)``: fn(node, t,
-        x(t)) against ``against`` (p,) or (p, r) on each source cell (C, Q,
-        ...), or with ``summed`` on each block (B, Q), at the nodes of
-        ``kept``; for a level that does not resolve, kept None, at its
-        targets (target i at node ``col[i]``) in chunks of whole cells of m."""
+        """Level by level, ``(level, kept, start, values)``: fn(node, t, x(t))
+        against ``against`` (p,) or (p, r) on each source cell (C, q, ...), or
+        with ``summed`` on each block (B, q), at the nodes of ``kept``; for a
+        level with no block of more than q targets or that does not resolve,
+        kept None, at its targets (target i at node ``col[i]``) in chunks of
+        whole cells of m."""
         p, q = self.rule.p, _FIRST_CHEBYSHEV
         x_reg = self._sample(x, sub=False)
         for i, lev in enumerate(self._tree):
@@ -301,44 +295,38 @@ class SplitOperator:
                 values = self._against(fn1, fn2, nodes, lev, x_reg, against)
                 return np.add.reduceat(values, lev.first_cell) if summed else values
 
-            kept, values, q = self._resolve(i, q, values_at, summed)
-            if kept is not None:
-                yield lev, kept, 0, values
-                continue
+            if lev.count.max() > q:
+                kept, values, q = self._resolve(i, q, values_at)
+                if kept is not None:
+                    yield lev, kept, 0, values
+                    continue
             nodes = np.repeat(lev.lo[:, None], int(lev.count.max()), axis=1)
             nodes[lev.block, lev.col] = self.s[lev.targets]
             width = m * max(1, _CHUNK // (lev.cells.size * m * p))
             for start in range(0, nodes.shape[1], width):
                 yield lev, None, start, values_at(nodes[:, start:start + width])
 
-    def _resolve(self, level: int, q: int, values_at, summed: bool):
-        """``(kept, values, next q)`` where the level's interpolated rows
-        (blocks, or source cells unless ``summed``) resolve, the next level
-        starting at the coefficients needed here scaled by (w'/w)^k.  None,
-        None and q when a row is zero at every point (no sign of its
-        smoothness), or no q up to _MAX_CHEBYSHEV resolves the same blocks."""
+    def _resolve(self, level: int, q: int, values_at):
+        """``(kept, values, next q)`` where the level's rows (blocks, or
+        source cells) resolve, the next level starting at the coefficients
+        needed here scaled by (w'/w)^k.  None, None and q when a row is zero
+        at every point (no sign of its smoothness), or no q up to
+        _MAX_CHEBYSHEV that some block has more targets than resolves."""
         start, lev, kept = q, self._tree[level], self._kept_at(level, q)
         values = values_at(kept.nodes)
-        rows = kept.interp if summed else kept.interp[lev.cell_block]
-        if not rows.any():
-            return kept, values, q
-        cheb = values[rows]
-        if not cheb.reshape(len(cheb), -1).any(axis=1).all():
+        if not values.reshape(len(values), -1).any(axis=1).all():
             return None, None, start
         while True:  # mag: each coefficient's largest on the level
-            mag = np.abs(cheb.reshape(len(cheb), q, -1).swapaxes(1, 2).reshape(-1, q)
+            mag = np.abs(values.reshape(len(values), q, -1).swapaxes(1, 2).reshape(-1, q)
                          @ _to_coefficients(q).T).max(axis=0)
             if max(mag[-2:]) <= _RESOLVED * mag.max():
                 break
             q = 2 * q - 1  # the q points are every other one of these
-            if q > _MAX_CHEBYSHEV or np.any(lev.count[kept.interp] <= q):
+            if q > _MAX_CHEBYSHEV or lev.count.max() <= q:
                 return None, None, start
-            kept, both = self._kept_at(level, q), np.empty((len(cheb), q) + cheb.shape[2:])
-            both[:, ::2], both[:, 1::2] = cheb, values_at(kept.nodes[:, 1::2])[rows]
-            cheb = both
-        if q > start:  # the other blocks keep the values at their targets
-            values = np.pad(values, [(0, 0), (0, q - start)] + [(0, 0)] * (values.ndim - 2))
-            values[rows] = cheb
+            kept, both = self._kept_at(level, q), np.empty((len(values), q) + values.shape[2:])
+            both[:, ::2], both[:, 1::2] = values, values_at(kept.nodes[:, 1::2])
+            values = both
         ratio = self._tree[level + 1].width / lev.width if level + 1 < len(self._tree) else 1.0
         small = mag * ratio ** np.arange(q) <= _RESOLVED * mag.max()
         return kept, values, max(int(np.argmax(small[:-1] & small[1:])) + _MARGIN, 3)
@@ -389,16 +377,15 @@ class SplitOperator:
         cells.  Only the diagonal blocks use the sub-panels.
         """
         from .piecewise import basis_table  # piecewise imports this module
-        n, m, h = self.mesh.n, outer.p, self.mesh.h
-        inv_sqrt_h = 1.0 / math.sqrt(h)
+        n, m = self.mesh.n, outer.p
         test = self._test_weights(r, outer)
-        own = np.einsum("sk,skb->sb", self._sub_panels(fn1, fn2, x) * self.w_sub,
-                        inv_sqrt_h * self.basis(r)[1])
+        own = self._diagonal(self._sub_panels(fn1, fn2, x), test)
         # one spare cell past the last takes the padding of smaller blocks
         mat = np.zeros((n + 1, r, n + 1, r))
-        mat[np.arange(n), :, np.arange(n), :] = test.T @ own.reshape(n, m, r)
+        mat[np.arange(n), :, np.arange(n), :] = own
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
 
+        inv_sqrt_h = 1.0 / math.sqrt(self.mesh.h)
         regular = self.w[:, None] * (inv_sqrt_h * basis_table(r, self.rule.nodes))  # (p, r)
         for lev, kept, start, values in self._far_field(fn1, fn2, x, regular, m, summed=False):
             blocks, nodes = len(lev.count), values.shape[1]  # padded to the most source cells:
@@ -412,6 +399,13 @@ class SplitOperator:
                 block = sums @ rhs
             mat[rows[:, :, None], cols[:, None, :]] = block.reshape(blocks, rows.shape[1], -1)
         return mat[:n * r, :n * r]
+
+    def _diagonal(self, sub: np.ndarray, test: np.ndarray) -> np.ndarray:
+        """The split cells' Galerkin blocks (n, r, r) from fn at the sub-panel nodes (S, 2p)."""
+        n, (m, r) = self.mesh.n, test.shape
+        own = np.einsum("sk,skb->sb", sub * self.w_sub,
+                        (1.0 / math.sqrt(self.mesh.h)) * self.basis(r)[1])
+        return test.T @ own.reshape(n, m, r)
 
     def _test_weights(self, r: int, outer: GaussRule) -> np.ndarray:
         """h (1/sqrt h) w phi (m, r): values at the outer rule's nodes in a cell to
@@ -457,16 +451,17 @@ class SplitOperator:
     def galerkin(self, a1, b1, a2, b2, r: int, outer: GaussRule, to_coeffs):
         """``(value, jacobian)`` by product integration, for points that are
         the outer rule's nodes in every cell: ``value(g, x)`` is ``to_coeffs``
-        of ``separable``'s integral, ``jacobian(dg, x, fn1, fn2)`` its exact
-        Jacobian in the coefficients of x, of order r.  g is read on the node
-        grid only and interpolated on each cell by the Lagrange basis L_l of
-        its p nodes: the split cell enters as sum_l g_jl M[j, l, i], M the
-        sub-panel sums of the test weights times a b L_l, the other cells as
-        the prefix sums times the test sums of a1 and a2 (rank-one Jacobian
-        blocks).  Exact to roundoff for g of degree < p on every cell; a call
-        in which g (or dg phi_b) is not finite or has, in some cell, one of
-        its last two Legendre coefficients above _RESOLVED times the largest
-        over all cells takes ``separable`` or ``matrix`` on fn1, fn2."""
+        of ``separable``'s integral, ``jacobian(dg, x)`` its exact Jacobian in
+        the coefficients of x, of order r.  g is read on the node grid,
+        interpolated on each cell by the Lagrange basis L_l of its p nodes: the
+        split cell enters as sum_l g_jl M[j, l, i], M the sub-panel sums of the
+        test weights times a b L_l, the other cells as the prefix sums times
+        the test sums of a1 and a2 (rank-one Jacobian blocks).  Exact to
+        roundoff for g of degree < p on every cell; where g (or dg phi_b) is
+        not finite or has, in some cell, one of its last two Legendre
+        coefficients above _RESOLVED times the largest over all cells,
+        ``value`` takes ``separable``, the Jacobian's split cells dg on the
+        sub-panels."""
         from .piecewise import basis_table  # piecewise imports this module
         n, m, p, h = self.mesh.n, outer.p, self.rule.p, self.mesh.h
         test = self._test_weights(r, outer)  # (m, r)
@@ -475,7 +470,11 @@ class SplitOperator:
         local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)  # (m, 2p)
         bary = (-1.0) ** np.arange(p) * np.sqrt(tau * (1.0 - tau) * self.rule.weights)
         lagrange = _interpolation(local.ravel(), tau, bary).reshape(m, 2 * p, p)
-        own = np.concatenate([a1_s[:, None] * b1_sub, a2_s[:, None] * b2_sub], axis=1) * self.w_sub
+
+        def ab():  # a(s) b(t) at the sub-panel nodes, (S, 2p)
+            return np.concatenate([a1_s[:, None] * b1_sub, a2_s[:, None] * b2_sub], axis=1)
+
+        own = ab() * self.w_sub
         split = np.einsum("jkq,kql,ki->jli", own.reshape(n, m, 2 * p), lagrange, test,
                           optimize=True)  # M
         pa1, pa2 = a1_s.reshape(n, m) @ test, a2_s.reshape(n, m) @ test  # (n, r)
@@ -497,15 +496,15 @@ class SplitOperator:
             return (pa1 * before[:-1, None] + pa2 * after[1:, None]
                     + np.einsum("jl,jli->ji", g_reg, split))
 
-        def jacobian(dg, x, fn1, fn2):
+        def jacobian(dg, x):
             d_phi = _piece(dg, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
-            if not resolved(d_phi):
-                return self.matrix(fn1, fn2, x, r, outer)
+            own = (np.einsum("jli,jlb->jib", split, d_phi) if resolved(d_phi)
+                   else self._diagonal(ab() * dg(self.t_sub, self._sample(x, sub=True)), test))
             q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
             mat = pa2[:, :, None, None] * q2  # source cell right of the target
             np.multiply(pa1[:, :, None, None], q1, out=mat,
                         where=np.tri(n, k=-1, dtype=bool)[:, None, :, None])  # left of it
-            mat[np.arange(n), :, np.arange(n), :] = np.einsum("jli,jlb->jib", split, d_phi)
+            mat[np.arange(n), :, np.arange(n), :] = own
             return mat.reshape(n * r, n * r)
 
         return value, jacobian

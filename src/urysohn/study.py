@@ -112,6 +112,8 @@ class StudyConfig:
                 raise ConfigError(f"n_sequence must double at every step, got {self.n_sequence}")
         if self.output_format not in OUTPUT_FORMATS:
             raise ConfigError(f"unknown output format {self.output_format!r}")
+        if self.output_path is not None and not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
         self._solve_options()
         self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
 
@@ -386,9 +388,18 @@ def emit_report(report: ConvergenceReport, output_format: str, path: str) -> str
     """Write the report table to ``path`` and return the rendered text.
 
     CSV holds the bare table at full precision; JSON mirrors the same
-    columns plus the config echo; md renders a human-readable table.
+    columns plus the config echo; md renders a human-readable table.  A
+    file that cannot be written is a ConfigError.
     """
     text = render_report(report, output_format)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+    _write(path, text)
     return text
+
+
+def _write(path: str, text: str) -> None:
+    """Write text to the file at path; an OSError is a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc

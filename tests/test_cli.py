@@ -1,10 +1,17 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import urysohn.study
 from urysohn.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_study_writes_report_and_exits_zero(tmp_path, capsys):
@@ -183,3 +190,68 @@ def test_out_of_range_level_exits_3_without_traceback(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("a solve ran")
+
+
+def one_config_error(err: str) -> bool:
+    return err.count("\n") == 1 and err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+@pytest.mark.parametrize("out", ["{tmp}", "{tmp}/no-such-dir/x.csv", "{tmp}/file/x.csv"])
+def test_unwritable_report_path_exits_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                         command, out):
+    """A directory, or a file in a directory that does not exist (or is a
+    file): exit 3 with one line, before the first solve."""
+    (tmp_path / "file").write_text("")
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    n = ["--n", "2,4"] if command == "study" else ["--n", "2"]
+    assert main([command, "--problem", "zero-kernel", *n, "--out", out.format(tmp=tmp_path)]) == 3
+    assert one_config_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["study", "solve"])
+def test_failed_report_write_exits_3(tmp_path, capsys, monkeypatch, command):
+    """An OSError while the report is written: exit 3 with one line."""
+    def full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(urysohn.study, "open", full, raising=False)
+    n = ["--n", "2,4"] if command == "study" else ["--n", "2"]
+    out = tmp_path / "x.csv"
+    assert main([command, "--problem", "zero-kernel", *n, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and f"cannot write {out}" in err
+
+
+def test_non_string_output_path_in_config_exits_3_before_any_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"problem_id": "zero-kernel", "n_sequence": [2, 4],
+                                "output_path": ["x"]}))
+    assert main(["study", "--config", str(path)]) == 3
+    assert one_config_error(capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("output_path", [5, 1, True])
+def test_file_descriptor_output_path_in_config_exits_3_before_any_solve(tmp_path, output_path):
+    """An integer or a bool would open a file descriptor: run in a process
+    of its own, whose descriptors those are."""
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps({"problem_id": "zero-kernel", "n_sequence": [2, 4],
+                                "output_path": output_path}))
+    script = ("import sys, urysohn.study\n"
+              "def no_solve(*args, **kwargs):\n"
+              "    raise AssertionError('a solve ran')\n"
+              "urysohn.study.solve_galerkin = no_solve\n"
+              "from urysohn.cli import main\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, "study", "--config", str(path)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 3 and done.stdout == ""
+    assert one_config_error(done.stderr), done.stderr

@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 import urysohn as u
 from urysohn.piecewise import _projector
-from urysohn.quadrature import _CHUNK, SplitOperator
+from urysohn.cli import main
+from urysohn.quadrature import _CHUNK, SplitOperator, _chebyshev, _mapped
 from urysohn.problems import _bind_galerkin, _bind_integral
 
 GAMMA = np.sqrt(12.0)
@@ -436,10 +437,10 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
     operator's one-shot call, so nothing the operator keeps goes stale.
     The iterates are piecewise polynomials of order r and of another order
     on its mesh, one on another mesh, and a callable.  The first is zero on
-    the middle cells, so some blocks that the next one interpolates are
-    direct, with their targets written into their nodes.  The oscillating
-    pieces evaluate their top level at its targets in chunks, writing the
-    targets into the level's nodes."""
+    the middle cells.  Each tree level is interpolated as a whole from the
+    Chebyshev nodes the operator keeps, or evaluated at its targets, which
+    are never kept; the oscillating pieces evaluate their top level at its
+    targets in chunks."""
     if kind == "hammerstein":
         kern = u.get_problem("paper-hammerstein").kernel
     elif kind == "green":
@@ -479,7 +480,9 @@ def solve_operator(kern, n, r):
     """A solve's operator for kern on n cells at order r: the direct
     Galerkin coefficients and Newton matrix (to_coeffs of the prefix-sum
     integral, and the tree matrix), the bound product-integration pair, and
-    a pair of ``op.galerkin`` that fails on its direct path."""
+    a pair of ``op.galerkin`` that fails on its direct path: the
+    coefficients when they reach ``to_coeffs``, the Newton matrix when it
+    reads dpsi anywhere but on the n p grid."""
     mesh = u.make_mesh(n)
     outer, nodes, to_coeffs = _projector(mesh, r)
     op = SplitOperator(mesh, u.gauss_rule(10), nodes)
@@ -489,9 +492,13 @@ def solve_operator(kern, n, r):
     def unreachable(*args):
         raise AssertionError("took the direct path")
 
+    def dpsi_on_the_grid(t, x):
+        if np.shape(t) != op.t.shape:
+            unreachable()
+        return kern.dpsi(t, x)
+
     value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, r, outer, unreachable)
-    product = (lambda x: value(kern.psi, x),
-               lambda x: jacobian(kern.dpsi, x, unreachable, unreachable))
+    product = (lambda x: value(kern.psi, x), lambda x: jacobian(dpsi_on_the_grid, x))
     return mesh, direct, _bind_galerkin(kern, op, r, outer, to_coeffs), product
 
 
@@ -591,10 +598,14 @@ def test_tree_resolves_a_piece_least_smooth_in_the_middle_of_its_sources(n):
 
 
 def test_operator_keeps_a_bounded_geometry_per_level_and_q():
-    """A solve's operator keeps, for each level and q it is asked for, at
-    most (S + n (2 r + 1)) Q + S + 4 n r entries, Q <= q or the level's
-    most targets, all read-only, and nothing more when the same calls come
-    again with other iterates of the same smoothness."""
+    """A solve's operator keeps, for each level and q it is asked for, the
+    q Chebyshev points of each block's target cells and no target, at most
+    (S + n (2 r + 1)) q + S + 4 n r entries, all read-only, and nothing more
+    when the same calls come again with other iterates of the same
+    smoothness.  At the n + 1 readout points the top two levels are
+    interpolated, the deep levels, whose blocks hold at most 3 targets
+    (fewer than any q), are evaluated at their targets and keep nothing,
+    and K matches the dense oracle."""
     kern = urysohn_kernel(GAMMA)
     n, r = 80, 2
     mesh = u.make_mesh(n)
@@ -605,16 +616,83 @@ def test_operator_keeps_a_bounded_geometry_per_level_and_q():
         op.apply(kern.kappa1, kern.kappa2, x)
         op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
 
-    calls(u.project(lambda t: 1.0 + np.sin(np.pi * t), mesh, r))
+    x = u.project(lambda t: 1.0 + np.sin(np.pi * t), mesh, r)
+    calls(x)
     kept = dict(op._kept)
     assert kept
     for (level, q), geometry in kept.items():
+        lev = op._tree[level]
+        assert np.array_equal(geometry.nodes, _mapped(_chebyshev(q)[0], lev.lo, lev.hi))
+        assert geometry.nodes.shape == (len(lev.count), q)
         arrays = [geometry.nodes, *geometry.__dict__.get("weights", ())]
         arrays += [a for sums in geometry._sums.values() for a in sums]
         assert not any(a.flags.writeable for a in arrays)
-        size = geometry.nodes.shape[1]
-        assert size <= max(q, int(op._tree[level].count.max()))
-        assert sum(a.size for a in arrays) <= (nodes.size + n * (2 * r + 1)) * size \
+        assert sum(a.size for a in arrays) <= (nodes.size + n * (2 * r + 1)) * q \
             + nodes.size + 4 * n * r
     calls(u.project(lambda t: 1.0 + 0.9 * np.sin(np.pi * t), mesh, r))
     assert op._kept.keys() == kept.keys()
+
+    readout = SplitOperator(mesh, op.rule, mesh.points)
+    place = {id(lev): level for level, lev in enumerate(readout._tree)}
+    levels = {place[id(lev)]: (lev.count.max(), kept) for lev, kept, _, _ in readout._far_field(
+        kern.kappa1, kern.kappa2, x, readout.w, readout.rule.p, summed=True)}
+    deep = [kept for most, kept in levels.values() if most <= 3]
+    assert len(deep) >= 3 and all(kept is None for kept in deep)
+    assert levels[0][1] is not None and levels[1][1] is not None  # 41 and 21 targets
+    assert {level for level, _ in readout._kept} == {
+        level for level, (_, kept) in levels.items() if kept is not None} != set()
+    want = dense_split(kern.kappa1, kern.kappa2, x, mesh.points, mesh, op.rule).sum(axis=1)
+    np.testing.assert_allclose(readout.apply(kern.kappa1, kern.kappa2, x), want, rtol=1e-13)
+
+
+# --- Hammerstein kernels never enter the cell tree ----------------------------
+
+
+def no_tree(*args, **kwargs):
+    raise AssertionError("entered the cell tree")
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+@pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green"])
+def test_hammerstein_solves_stay_off_the_cell_tree(monkeypatch, capsys, problem_id, method):
+    """Solves at r = 1, 2, 3 and a printed-RHS Newton study through the CLI
+    run with the tree's far field raising: value, Newton matrix, readout and
+    right-hand side all go by prefix sums and product integration."""
+    monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
+    prob = u.get_problem(problem_id)
+    mesh = u.make_mesh(8)
+    for r in (1, 2, 3):
+        sol = u.solve_galerkin(prob, mesh, r, u.SolveOptions(method=method))
+        x_s = u.iterated_at_partition(prob, sol, u.gauss_rule(10)).values
+        assert np.max(np.abs(x_s - prob.exact(mesh.points))) < mesh.h ** (2 * r)
+    assert main(["study", "--problem", "paper-hammerstein", "--rhs", "paper", "--method", method,
+                 "--n", "4,8"]) == 0
+    assert "t_i," in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("f, n, r", [(40, 4, 2), (40, 7, 3), (80, 16, 1)])
+def test_unresolved_hammerstein_newton_matrix_stays_off_the_cell_tree(monkeypatch, f, n, r):
+    """psi = exp(u) cos(f t) does not resolve on a cell: the Newton matrix
+    reads dpsi at the n p grid points and the 2 p S sub-panel points only,
+    never enters the tree, and matches both the tree matrix of an operator
+    built before the patch and the dense oracle within 1e-14 of its largest
+    entry."""
+    points = []
+
+    def wave(t, x):
+        points.append(np.size(t))
+        return np.exp(x) * np.cos(f * t)
+
+    kern = dataclasses.replace(u.get_problem("paper-hammerstein").kernel, psi=wave, dpsi=wave)
+    mesh, rule = u.make_mesh(n), u.gauss_rule(10)
+    outer, nodes, to_coeffs = _projector(mesh, r)
+    x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, r)
+    oracles = (SplitOperator(mesh, rule, nodes).matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer),
+               dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule, outer))
+    monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
+    _, jacobian = _bind_galerkin(kern, SplitOperator(mesh, rule, nodes), r, outer, to_coeffs)
+    points.clear()
+    got = jacobian(x)
+    assert sum(points) == n * rule.p + 2 * rule.p * nodes.size
+    for want in oracles:
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
