@@ -11,11 +11,11 @@ the identity and projecting is a single quadrature pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _sampled, gauss_rule
+from .quadrature import _frozen, _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
@@ -31,8 +31,14 @@ class UniformMesh:
     """The partition {t_i = i/n} of [0, 1] into n cells of width h = 1/n."""
 
     n: int
-    h: float
-    points: np.ndarray
+    h: float = field(init=False, compare=False)
+    points: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"cell count must be positive, got {self.n}")
+        object.__setattr__(self, "h", 1.0 / self.n)
+        object.__setattr__(self, "points", _frozen(np.arange(self.n + 1) / self.n)[0])
 
     def cell_of(self, s):
         """0-based index of the cell containing s (an int, or an array for an
@@ -61,12 +67,7 @@ class UniformMesh:
 
 def make_mesh(n: int) -> UniformMesh:
     """Uniform mesh with n cells."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"cell count must be positive, got {n}")
-    points = np.arange(n + 1) / n
-    points.flags.writeable = False
-    return UniformMesh(n=n, h=1.0 / n, points=points)
+    return UniformMesh(int(n))
 
 
 def basis_table(r: int, tau: np.ndarray) -> np.ndarray:

@@ -293,8 +293,12 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
 
     def take(key, default):
         value = params.pop(key, default)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                or not math.isfinite(value):
+        try:
+            finite = not isinstance(value, bool) and isinstance(value, numbers.Real) \
+                and math.isfinite(float(value))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
             raise ConfigError(f"parameter {key!r} must be a finite number, got {value!r}")
         return float(value)
 

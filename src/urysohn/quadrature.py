@@ -5,7 +5,7 @@ mesh points and at t = s."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import NamedTuple
 
@@ -40,22 +40,23 @@ class GaussRule:
     """p-point Gauss-Legendre rule mapped to [0, 1]; weights sum to 1."""
 
     p: int
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: np.ndarray = field(init=False, compare=False)
+    weights: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        if not 1 <= self.p <= MAX_POINTS:
+            raise ValueError(f"rule size must be in [1, {MAX_POINTS}], got {self.p}")
+        x, w = np.polynomial.legendre.leggauss(self.p)
+        object.__setattr__(self, "nodes", _frozen(0.5 * (x + 1.0))[0])
+        object.__setattr__(self, "weights", _frozen(0.5 * w)[0])
 
 
 def gauss_rule(p: int) -> GaussRule:
     """The p-point Gauss-Legendre rule on [0, 1], exact to degree 2p - 1, built once."""
-    p = int(p)
-    if not 1 <= p <= MAX_POINTS:
-        raise ValueError(f"rule size must be in [1, {MAX_POINTS}], got {p}")
-    return _gauss_rule(p)
+    return _rules(int(p))
 
 
-@cache
-def _gauss_rule(p: int) -> GaussRule:
-    x, w = np.polynomial.legendre.leggauss(p)
-    return GaussRule(p, *_frozen(0.5 * (x + 1.0), 0.5 * w))
+_rules = cache(GaussRule)
 
 
 def _frozen(*arrays):
@@ -129,14 +130,13 @@ class _Level(NamedTuple):
     tgt_cells: np.ndarray  # (B, mt) target cells, the spare cell n past a block's last
     src_cells: np.ndarray  # (B, ms) source cells, likewise
     gather: np.ndarray  # (B, ms) their places in ``cells``, then the places after
-    width: float  # of the widest block's target cells
 
 
 class _Kept:
     """A level's geometry for q Chebyshev points, read-only: ``nodes`` (B,
     q), the points on each block's target cells.  On first use:
     ``weights``, the distinct rows (U, q) from node values to a target and
-    each target's row (R,); ``test_sums``."""
+    each target's row (R,); the ``test_sums`` of each order r."""
 
     def __init__(self, lev: _Level, q: int):
         self.lev, self._sums = lev, {}
@@ -147,16 +147,15 @@ class _Kept:
         key, inverse = np.unique(self.lev.xi, return_inverse=True)
         return _frozen(_interpolation(key, *_chebyshev(self.nodes.shape[1])), inverse.ravel())
 
-    def test_sums(self, r: int, test: np.ndarray):
-        """(sums, rows, cols): test (m, r) on each target cell's weights."""
+    def test_sums(self, r: int, test: np.ndarray) -> np.ndarray:
+        """test (m, r) on each target cell's weights, (B, mt r, q)."""
         if r not in self._sums:
             lev, (weights, inverse) = self.lev, self.weights
             (blocks, cells), m = lev.tgt_cells.shape, test.shape[0]
             first = np.cumsum(lev.count) - lev.count
             at = np.minimum(first[:, None] + np.arange(cells * m), inverse.size - 1)
             sums = test.T @ weights[inverse[at]].reshape(blocks, cells, m, -1)
-            self._sums[r] = _frozen(sums.reshape(blocks, cells * r, -1),
-                                    _spread(lev.tgt_cells, r), _spread(lev.src_cells, r))
+            self._sums[r] = _frozen(sums.reshape(blocks, cells * r, -1))[0]
         return self._sums[r]
 
 
@@ -232,7 +231,7 @@ class SplitOperator:
         if isinstance(x, tuple):
             return np.stack([self._sample(y, sub) for y in x], axis=-1)
         t, cells = self._nodes[sub]
-        if getattr(getattr(x, "mesh", None), "n", None) == self.mesh.n:
+        if getattr(x, "mesh", None) == self.mesh:
             return x.eval_on_table(self.basis(x.r)[sub], cells)
         return _sampled(x, t)
 
@@ -271,8 +270,7 @@ class SplitOperator:
                 first_cell=first_cell, split=first_cell[half] if half < len(tgt) else cells.size,
                 tgt_cells=np.where(local < m_t[:, None], tgt[:, :1] + local, n),
                 src_cells=np.where(ms < m_s[:, None], src[:, :1] + ms, n),
-                gather=np.minimum(first_cell[:, None] + ms, cells.size - 1),
-                width=float((hi - lo).max())))
+                gather=np.minimum(first_cell[:, None] + ms, cells.size - 1)))
         return levels
 
     def _kept_at(self, level: int, q: int) -> _Kept:
@@ -281,19 +279,25 @@ class SplitOperator:
             self._kept[level, q] = _Kept(self._tree[level], q)
         return self._kept[level, q]
 
-    def _far_field(self, fn1, fn2, x, against, m, summed: bool):
+    def _far_field(self, fn1, fn2, x, r=None):
         """Level by level, ``(level, kept, start, values)``: fn(node, t, x(t))
-        against ``against`` (p,) or (p, r) on each source cell (C, q, ...), or
-        with ``summed`` on each block (B, q), at the nodes of ``kept``; for a
-        level with no block of more than q targets or that does not resolve,
-        kept None, at its targets (target i at node ``col[i]``) in chunks of
-        whole cells of m."""
+        summed against ``w`` over each block's sources (B, q), or with an
+        order r against the r basis functions on each source cell (C, q, r),
+        at the nodes of ``kept``; for a level with no block of more than q
+        targets or that does not resolve, kept None, at its targets (target i
+        at node ``col[i]``) in chunks of p columns, or with r of the S/n
+        points of a target cell."""
+        from .piecewise import basis_table  # piecewise imports this module
         p, q = self.rule.p, _FIRST_CHEBYSHEV
         x_reg = self._sample(x, sub=False)
+        against, m = self.w, p
+        if r is not None:
+            phi = 1.0 / math.sqrt(self.mesh.h) * basis_table(r, self.rule.nodes)  # (p, r)
+            against, m = self.w[:, None] * phi, self.s.size // self.mesh.n
         for i, lev in enumerate(self._tree):
             def values_at(nodes, lev=lev):
                 values = self._against(fn1, fn2, nodes, lev, x_reg, against)
-                return np.add.reduceat(values, lev.first_cell) if summed else values
+                return np.add.reduceat(values, lev.first_cell) if r is None else values
 
             if lev.count.max() > q:
                 kept, values, q = self._resolve(i, q, values_at)
@@ -327,7 +331,8 @@ class SplitOperator:
             kept, both = self._kept_at(level, q), np.empty((len(values), q) + values.shape[2:])
             both[:, ::2], both[:, 1::2] = values, values_at(kept.nodes[:, 1::2])
             values = both
-        ratio = self._tree[level + 1].width / lev.width if level + 1 < len(self._tree) else 1.0
+        widest = [(b.hi - b.lo).max() for b in self._tree[level:level + 2]]  # here and below
+        ratio = widest[-1] / widest[0]
         small = mag * ratio ** np.arange(q) <= _RESOLVED * mag.max()
         return kept, values, max(int(np.argmax(small[:-1] & small[1:])) + _MARGIN, 3)
 
@@ -355,8 +360,7 @@ class SplitOperator:
         """Integral of fn1(s, t, x(t)) over [0, s] plus fn2 over [s, 1], at
         every s."""
         out = np.einsum("sk,sk->s", self._sub_panels(fn1, fn2, x), self.w_sub)
-        for lev, kept, start, at_nodes in self._far_field(fn1, fn2, x, self.w, self.rule.p,
-                                                          summed=True):
+        for lev, kept, start, at_nodes in self._far_field(fn1, fn2, x):
             if kept is None:
                 here = (lev.col >= start) & (lev.col < start + at_nodes.shape[1])
                 out[lev.targets[here]] += at_nodes[lev.block[here], lev.col[here] - start]
@@ -376,7 +380,6 @@ class SplitOperator:
         of its weights times fn at its nodes against the basis on its source
         cells.  Only the diagonal blocks use the sub-panels.
         """
-        from .piecewise import basis_table  # piecewise imports this module
         n, m = self.mesh.n, outer.p
         test = self._test_weights(r, outer)
         own = self._diagonal(self._sub_panels(fn1, fn2, x), test)
@@ -384,19 +387,15 @@ class SplitOperator:
         mat = np.zeros((n + 1, r, n + 1, r))
         mat[np.arange(n), :, np.arange(n), :] = own
         mat = mat.reshape((n + 1) * r, (n + 1) * r)
-
-        inv_sqrt_h = 1.0 / math.sqrt(self.mesh.h)
-        regular = self.w[:, None] * (inv_sqrt_h * basis_table(r, self.rule.nodes))  # (p, r)
-        for lev, kept, start, values in self._far_field(fn1, fn2, x, regular, m, summed=False):
+        for lev, kept, start, values in self._far_field(fn1, fn2, x, r):
             blocks, nodes = len(lev.count), values.shape[1]  # padded to the most source cells:
             rhs = values[lev.gather].transpose(0, 2, 1, 3).reshape(blocks, nodes, -1)
             if kept is None:  # the nodes are the targets of whole cells
                 local = start // m + np.arange(nodes // m)
                 block = test.T @ rhs.reshape(blocks, local.size, m, -1)
-                rows, cols = _spread(lev.tgt_cells[:, local], r), _spread(lev.src_cells, r)
             else:  # every block padded to the most target cells
-                sums, rows, cols = kept.test_sums(r, test)
-                block = sums @ rhs
+                local, block = slice(None), kept.test_sums(r, test) @ rhs
+            rows, cols = _spread(lev.tgt_cells[:, local], r), _spread(lev.src_cells, r)
             mat[rows[:, :, None], cols[:, None, :]] = block.reshape(blocks, rows.shape[1], -1)
         return mat[:n * r, :n * r]
 

@@ -47,6 +47,10 @@ OUTPUT_FORMATS = ("csv", "json", "md")
 # known exact solution.
 _REFERENCE_REFINEMENT = 8
 
+# The most cells of a solve level: at r = 1 and p = 10 the sub-panel nodes
+# and weights of 2**20 cells alone take 3.4 GB.
+_MAX_CELLS = 2 ** 20
+
 
 def _integer(name: str, value) -> int:
     """An integer field from outside (JSON or keyword); bools and strings are
@@ -57,12 +61,14 @@ def _integer(name: str, value) -> int:
 
 
 def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions:
-    """The one check of a solve level: n >= 1 cells, 1 <= r <= MAX_POINTS
-    (the projection rule has max(r, 10) points), a known discrete mode that
-    admits r, and the SolveOptions built from ``solver``.  Every failure is
-    a ConfigError."""
+    """The one check of a solve level: 1 <= n <= _MAX_CELLS cells, 1 <= r <=
+    MAX_POINTS (the projection rule has max(r, 10) points), a known discrete
+    mode that admits r, and the SolveOptions built from ``solver``.  Every
+    failure is a ConfigError."""
     if n < 1:
         raise ConfigError(f"mesh sizes must be positive, got {n}")
+    if n > _MAX_CELLS:
+        raise ConfigError(f"mesh sizes must be at most {_MAX_CELLS} cells, got {n}")
     if not 1 <= r <= MAX_POINTS:
         raise ConfigError(f"polynomial order must be in [1, {MAX_POINTS}], got {r}")
     if discrete_mode not in DISCRETE_MODES:
@@ -117,11 +123,15 @@ class StudyConfig:
         self._solve_options()
         self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
 
-    def _solve_options(self) -> SolveOptions:
-        """The checked SolveOptions of every level of this study."""
-        return _level_options(self.n_sequence[0], self.r, self.discrete_mode,
-                              method=self.method, tol=self.tol, max_iter=self.max_iter,
-                              quad_points=self.quad_points)
+    def _solve_options(self, reference: bool = False) -> SolveOptions:
+        """The SolveOptions of this study, with every level it solves checked,
+        and with ``reference`` its reference level too."""
+        levels = self.n_sequence + (self.n_sequence[-1] * _REFERENCE_REFINEMENT,) * reference
+        for n in levels:
+            opts = _level_options(n, self.r, self.discrete_mode, method=self.method,
+                                  tol=self.tol, max_iter=self.max_iter,
+                                  quad_points=self.quad_points)
+        return opts
 
     @classmethod
     def from_dict(cls, data: dict) -> "StudyConfig":
@@ -228,7 +238,8 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     """
     t_start = time.perf_counter()
     prob = get_problem(config.problem_id, config.params, config.rhs_mode)
-    opts = config._solve_options()
+    reference_based = prob.exact is None
+    opts = config._solve_options(reference_based)
     ns = config.n_sequence
     n0 = ns[0]
     coarse_idx = np.arange(1, n0)  # interior partition points of the coarsest mesh
@@ -243,7 +254,6 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
         level_values[n] = pv.values[coarse_idx * (n // n0)]
         iterations[n] = sol.iterations
 
-    reference_based = prob.exact is None
     if reference_based:
         n_ref = ns[-1] * _REFERENCE_REFINEMENT
         _, ref_pv = _solve_level(prob, n_ref, config.r, opts, config.discrete_mode)

@@ -213,6 +213,45 @@ def test_unwritable_report_path_exits_3_before_any_solve(tmp_path, capsys, monke
     assert one_config_error(capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "zero-kernel", "--n", str(2 ** 62)],
+    ["solve", "--problem", "zero-kernel", "--n", str(10 ** 30)],
+    ["study", "--problem", "zero-kernel", "--n", f"{2 ** 20},{2 ** 21}"],
+    # only the 8x reference level of a printed-RHS study is too large
+    ["study", "--problem", "paper-hammerstein", "--rhs", "paper", "--n", f"{2 ** 17},{2 ** 18}"],
+])
+def test_mesh_too_large_to_allocate_exits_3_before_any_solve(capsys, monkeypatch, argv):
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and "at most 1048576 cells" in err
+
+
+def _digits(k: int) -> str:
+    """The JSON integer 10^k, written out (str() of an int of more than
+    4300 digits raises)."""
+    return "1" + "0" * k
+
+
+@pytest.mark.parametrize("text", [
+    '{"problem_id": "zero-kernel", "n_sequence": [%d, %d]}' % (10 ** 30, 2 * 10 ** 30),
+    '{"problem_id": "paper-hammerstein", "params": {"gamma": %s}, "n_sequence": [2, 4]}'
+    % _digits(400),
+    '{"problem_id": "linear-green", "params": {"scale": -%s}, "n_sequence": [2, 4]}'
+    % _digits(400),
+    '{"problem_id": "paper-hammerstein", "params": {"gamma": %s}, "n_sequence": [2, 4]}'
+    % _digits(4400),
+], ids=["n_sequence-1e30", "gamma-1e400", "scale-minus-1e400", "gamma-1e4400"])
+def test_config_integers_beyond_range_exit_3_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                              text):
+    """JSON integers too large for a mesh, for a float, or for int() itself."""
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    path = tmp_path / "study.json"
+    path.write_text(text)
+    assert main(["study", "--config", str(path)]) == 3
+    assert one_config_error(capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["study", "solve"])
 def test_failed_report_write_exits_3(tmp_path, capsys, monkeypatch, command):
     """An OSError while the report is written: exit 3 with one line."""

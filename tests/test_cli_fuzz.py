@@ -40,10 +40,13 @@ _PROBLEM = ("--problem", st.sampled_from(PROBLEM_IDS),
 _REQUIRED = {
     "solve": [_PROBLEM, ("--n", _text(st.integers(1, 4)),
                          st.one_of(_text(st.integers(-3, 0)),
-                                   st.sampled_from([None, "x", "2.5"])))],
+                                   st.sampled_from([None, "x", "2.5", str(2 ** 62),
+                                                    str(10 ** 30)])))],
     # small meshes: the default (20, 40, 80) is slow at large r
     "study": [_PROBLEM, ("--n", st.integers(1, 2).map(lambda n0: f"{n0},{2 * n0}"),
-                         st.sampled_from(["-2,-4", "0,0", "4", "4,9", "x"]))],
+                         st.sampled_from(["-2,-4", "0,0", "4", "4,9", "x",
+                                          f"{2 ** 62},{2 ** 63}",
+                                          f"{10 ** 30},{2 * 10 ** 30}"]))],
 }
 
 
@@ -82,7 +85,8 @@ def _magnitude():
     return st.builds(lambda m, k: float(f"{m}e{k}"), st.floats(1.0, 9.99), st.integers(-320, 320))
 
 
-_BAD = st.sampled_from([0.0, -0.0, "x", None, True, [1.0], {"a": 1}])
+# the integers are beyond the float range: JSON writes them digit by digit
+_BAD = st.sampled_from([0.0, -0.0, "x", None, True, [1.0], {"a": 1}, 10 ** 400, -10 ** 400])
 _VALUE = st.one_of(_magnitude(), _magnitude().map(lambda v: -v), _BAD)
 
 
@@ -100,7 +104,8 @@ def _config(draw):
 @given(config=_config())
 def test_config_params_exit_code_is_documented_without_warnings(tmp_path_factory, config):
     """Problem parameters through ``--config``: gamma and scale from 1e-320
-    to 1e320 in magnitude, either sign, zero and not numbers.  Every run
+    to 1e320 in magnitude, either sign, zero, integers beyond the float
+    range and not numbers.  Every run
     ends in 0, 2 or 3, with no exception and no warning."""
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(config))

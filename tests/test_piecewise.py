@@ -42,6 +42,25 @@ def test_make_mesh_rejects_zero():
         u.make_mesh(0)
 
 
+def test_meshes_and_rules_are_their_one_input():
+    """A mesh is built from n and a rule from p alone, so nothing derived
+    can disagree with them, and both compare and hash by that number."""
+    mesh = u.UniformMesh(4)
+    assert mesh == u.make_mesh(4) and hash(mesh) == hash(u.make_mesh(4))
+    assert mesh != u.make_mesh(5) and mesh != 4
+    assert mesh.h == 0.25 and not mesh.points.flags.writeable
+    with pytest.raises(TypeError):
+        u.UniformMesh(4, 0.3, u.make_mesh(4).points)
+    with pytest.raises(ValueError, match="cell count must be positive, got 0"):
+        u.UniformMesh(0)
+    rule = u.GaussRule(3)
+    assert rule == u.gauss_rule(3) and {rule, u.gauss_rule(3)} == {u.gauss_rule(3)}
+    assert rule != u.gauss_rule(4)
+    np.testing.assert_array_equal(rule.weights, u.gauss_rule(3).weights)
+    with pytest.raises(ValueError, match=r"rule size must be in \[1, 64\], got 65"):
+        u.GaussRule(65)
+
+
 def test_mesh_points_strictly_increasing_constant_gap():
     mesh = u.make_mesh(37)
     gaps = np.diff(mesh.points)

@@ -332,7 +332,7 @@ def test_tree_matches_dense_split_panels(gamma):
 def interpolated_levels(op, fn1, fn2, x):
     """Whether an apply interpolates each level of the operator's tree."""
     seen = {}
-    for lev, kept, _, _ in op._far_field(fn1, fn2, x, op.w, op.rule.p, summed=True):
+    for lev, kept, _, _ in op._far_field(fn1, fn2, x):
         seen[id(lev)] = kept is not None
     return list(seen.values())
 
@@ -635,7 +635,7 @@ def test_operator_keeps_a_bounded_geometry_per_level_and_q():
     readout = SplitOperator(mesh, op.rule, mesh.points)
     place = {id(lev): level for level, lev in enumerate(readout._tree)}
     levels = {place[id(lev)]: (lev.count.max(), kept) for lev, kept, _, _ in readout._far_field(
-        kern.kappa1, kern.kappa2, x, readout.w, readout.rule.p, summed=True)}
+        kern.kappa1, kern.kappa2, x)}
     deep = [kept for most, kept in levels.values() if most <= 3]
     assert len(deep) >= 3 and all(kept is None for kept in deep)
     assert levels[0][1] is not None and levels[1][1] is not None  # 41 and 21 targets
@@ -696,3 +696,41 @@ def test_unresolved_hammerstein_newton_matrix_stays_off_the_cell_tree(monkeypatc
     assert sum(points) == n * rule.p + 2 * rule.p * nodes.size
     for want in oracles:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# --- the order table on a kernel that is not Hammerstein ----------------------
+
+
+@pytest.mark.parametrize("r, ns, method, tol", [
+    (1, (10, 20, 40, 80), "picard", 1e-12), (1, (10, 20, 40, 80), "newton", 1e-12),
+    (2, (5, 10, 20, 40), "picard", 1e-12), (2, (5, 10, 20, 40), "newton", 1e-12),
+    (3, (5, 10, 20, 40), "newton", 1e-15),
+], ids=["r1-picard", "r1-newton", "r2-picard", "r2-newton", "r3-newton"])
+def test_orders_on_a_kernel_that_is_not_hammerstein(r, ns, method, tol):
+    """The bench kernel G(s, t) gamma^2 u exp(-s u / 2), whose solves run
+    through the cell tree, with the manufactured right-hand side of
+    phi = 1 + sin(pi s): x_s at the coarse interior partition points
+    converges at order 2r (within 0.1 at the finest pair), one Richardson
+    step at order 6 for r = 2 (within 0.3; at r = 1 the pairs are still
+    pre-asymptotic and at r = 3 the finest E2 is at the rounding floor),
+    and E2 at n lies below E1 at 2n at every point."""
+    kern = urysohn_kernel(GAMMA)
+    phi = lambda t: 1.0 + np.sin(np.pi * t)
+    prob = u.UrysohnProblem(kern, u.manufactured_rhs(kern, phi), exact=phi)
+    n0, rule = ns[0], u.gauss_rule(10)
+    coarse = np.arange(1, n0)
+    exact = phi(coarse / n0)
+    opts = u.SolveOptions(method=method, tol=tol)
+    x_s = {n: u.iterated_at_partition(prob, u.solve_galerkin(prob, u.make_mesh(n), r, opts), rule)
+           for n in ns}
+    e1 = {n: np.abs(exact - x_s[n].values[coarse * (n // n0)]) for n in ns}
+    e2 = {a: np.abs(exact - u.richardson(x_s[a], x_s[b], r).values[coarse * (a // n0)])
+          for a, b in zip(ns, ns[1:])}
+    alpha = np.log2(e1[ns[-2]] / e1[ns[-1]])
+    assert np.all(np.abs(alpha - 2 * r) <= 0.1), alpha
+    if r == 2:
+        for a, b in zip(ns, ns[1:-1]):
+            beta = np.log2(e2[a] / e2[b])
+            assert np.all(np.abs(beta - 6.0) <= 0.3), (a, beta)
+    for a, b in zip(ns, ns[1:]):
+        assert np.all(e2[a] < e1[b]), (a, e2[a], e1[b])

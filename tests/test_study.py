@@ -99,6 +99,23 @@ def test_config_rejects_wrongly_typed_fields(field, value):
         small_study(**{field: value})
 
 
+def test_levels_are_capped_at_a_fixed_cell_count():
+    """Every level a study solves, the 8x reference of a study without an
+    exact solution too, has at most _MAX_CELLS cells; the cap itself is a
+    valid level."""
+    from urysohn.study import _MAX_CELLS, _level_options
+    assert _MAX_CELLS == 2 ** 20
+    assert _level_options(_MAX_CELLS, 1, "full").quad_points == 10
+    with pytest.raises(ConfigError, match="at most 1048576 cells"):
+        _level_options(_MAX_CELLS + 1, 1, "full")
+    with pytest.raises(ConfigError, match="at most"):
+        small_study(n_sequence=(_MAX_CELLS, 2 * _MAX_CELLS))
+    config = small_study(n_sequence=(_MAX_CELLS // 8, _MAX_CELLS // 4))
+    config._solve_options()
+    with pytest.raises(ConfigError, match=f"got {2 * _MAX_CELLS}"):
+        config._solve_options(reference=True)
+
+
 def test_config_keeps_numpy_integers_as_plain_ints():
     config = small_study(max_iter=np.int64(50), quad_points=np.int64(10))
     assert type(config.max_iter) is int and type(config.quad_points) is int
