@@ -16,9 +16,10 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
-from .problems import get_problem
+from .problems import RHS_MODES, get_problem
+from .solver import METHODS
 from .study import (DISCRETE_MODES, OUTPUT_FORMATS, StudyConfig, _level_options, _render_columns,
-                    _solve_level, _write, emit_report, render_report, run_study)
+                    _solve_level, _write, render_report, run_study)
 
 __all__ = ["build_parser", "main"]
 
@@ -44,12 +45,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--problem", dest="problem_id", help="built-in problem identifier")
         p.add_argument("--r", type=int, help="polynomial order (degree < r per cell)")
-        p.add_argument("--method", choices=("picard", "newton"))
+        p.add_argument("--method", choices=METHODS)
         p.add_argument("--tol", type=float, help="coefficient-update stopping tolerance")
         p.add_argument("--max-iter", type=int, dest="max_iter")
         p.add_argument("--quad-points", type=int, dest="quad_points",
                        help="Gauss points per panel in the integral operator")
-        p.add_argument("--rhs", choices=("manufactured", "paper"), dest="rhs_mode")
+        p.add_argument("--rhs", choices=RHS_MODES, dest="rhs_mode")
         p.add_argument("--mode", choices=DISCRETE_MODES, dest="discrete_mode")
         p.add_argument("--format", choices=OUTPUT_FORMATS, dest="output_format")
         p.add_argument("--out", dest="output_path", help="report file (stdout when omitted)")
@@ -94,19 +95,33 @@ def _check_out(path) -> None:
         raise ConfigError(f"cannot write {path}: its directory does not exist")
 
 
+def _emit(text: str, path, note: str) -> None:
+    """The report to the file at path, with the note on stderr, or without a
+    path to stdout and nothing else there.  A stdout its reader closed is a
+    ConfigError; stdout then points at the null device, so the flush at exit
+    is silent."""
+    if path:
+        _write(path, text)
+        print(note, file=sys.stderr)
+        return
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:  # BrokenPipeError, for one
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write the report to stdout: {exc}") from exc
+
+
 def _run_study(args) -> int:
     config = _study_config(args)
     _check_out(config.output_path)
     report = run_study(config)
-    if config.output_path:
-        emit_report(report, config.output_format, config.output_path)
-        print(f"wrote {config.output_format} report to {config.output_path}")
-    else:
-        sys.stdout.write(render_report(report, config.output_format))
+    _emit(render_report(report, config.output_format), config.output_path,
+          f"wrote {config.output_format} report to {config.output_path}")
     alphas = np.concatenate([v[np.isfinite(v)] for v in report.alpha.values()]) if report.alpha else []
     if len(alphas):
         print(f"levels n={list(config.n_sequence)}; "
-              f"alpha in [{np.min(alphas):.2f}, {np.max(alphas):.2f}]")
+              f"alpha in [{np.min(alphas):.2f}, {np.max(alphas):.2f}]", file=sys.stderr)
     return 0
 
 
@@ -129,13 +144,9 @@ def _run_solve(args) -> int:
     if prob.exact is not None:
         exact = np.asarray(prob.exact(mesh.points), dtype=float)
         cols += [("exact", exact), ("error", np.abs(exact - pv.values))]
-    text = _render_columns(cols, args.output_format or "csv")
-    if args.output_path:
-        _write(args.output_path, text)
-        print(f"wrote {len(mesh.points)} samples to {args.output_path} "
-              f"({sol.iterations} iterations, final update {sol.final_update:.2e})")
-    else:
-        sys.stdout.write(text)
+    _emit(_render_columns(cols, args.output_format or "csv"), args.output_path,
+          f"wrote {len(mesh.points)} samples to {args.output_path} "
+          f"({sol.iterations} iterations, final update {sol.final_update:.2e})")
     return 0
 
 

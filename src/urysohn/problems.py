@@ -167,7 +167,8 @@ def _bind_galerkin(kernel, op: SplitOperator, r: int, outer: GaussRule, to_coeff
         value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, r, outer,
                                       to_coeffs)
         return lambda x: value(kernel.psi, x), lambda x: jacobian(kernel.dpsi, x)
-    return (lambda x: to_coeffs(op.apply(kernel.kappa1, kernel.kappa2, x)),
+    integral = _bind_integral(kernel, op)
+    return (lambda x: to_coeffs(integral(x)),
             lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, r, outer))
 
 

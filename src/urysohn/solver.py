@@ -240,15 +240,14 @@ def _solve_newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMesh,
                         r: int, rule: GaussRule) -> np.ndarray:
-    """Matrix of <K'(x) b_col, b_row> over the cell basis, shape (n r, n r).
-
-    The inner integral splits at the diagonal t = s; the outer one is
-    per-cell Gauss with the same rule.
+    """Matrix of <K'(x) b_col, b_row> over the cell basis, shape (n r, n r):
+    the Newton matrix of a solve whose inner and outer rules are ``rule``,
+    through the same binding (product integration for a HammersteinKernel,
+    else the split panels).
     """
-    kern = prob.kernel
-    kern.require_first_derivative()
+    prob.kernel.require_first_derivative()
     op = SplitOperator(mesh, rule, mesh.grid(rule.nodes))
-    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, rule)
+    return _bind_galerkin(prob.kernel, op, r, rule, None)[1](x)  # no value, so no to_coeffs
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):

@@ -9,6 +9,7 @@ estimates empirical orders and the scaled error coefficients.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import time
 from collections.abc import Iterable
@@ -334,11 +335,26 @@ def _md_table(cols, fmt) -> list:
     return lines
 
 
+def _strict(value):
+    """value with every non-finite float in it, at any depth, as None."""
+    if isinstance(value, dict):
+        return {key: _strict(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _json(payload) -> str:
+    """The one JSON encoder of the reports: RFC 8259, so a non-finite number
+    is written as null."""
+    return json.dumps(_strict(payload), indent=2, allow_nan=False) + "\n"
+
+
 def _render_columns(cols, output_format: str) -> str:
     """A bare table of named sample columns (the ``solve`` output): csv and
     json at full precision, md at seven significant digits."""
     if output_format == "json":
-        return json.dumps({name: [float(v) for v in vals] for name, vals in cols}, indent=2) + "\n"
+        return _json({name: [float(v) for v in vals] for name, vals in cols})
     if output_format == "md":
         return "\n".join(_md_table(cols, lambda _name, v: f"{v:.6e}")) + "\n"
     return _csv_table(cols)
@@ -355,7 +371,7 @@ def _render_json(report: ConvergenceReport) -> str:
         "data": {name: [float(v) for v in values] for name, values in cols},
     }
     # wall time stays out of the file so identical configs emit identical bytes
-    return json.dumps(payload, indent=2) + "\n"
+    return _json(payload)
 
 
 def _md_cell(name: str, v: float) -> str:

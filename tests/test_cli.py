@@ -294,3 +294,67 @@ def test_file_descriptor_output_path_in_config_exits_3_before_any_solve(tmp_path
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 3 and done.stdout == ""
     assert one_config_error(done.stderr), done.stderr
+
+
+# --- stdout carries the report and nothing else ----------------------------------
+
+
+def strict(text: str):
+    """json.loads that rejects NaN and the infinities, as RFC 8259 does."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "md"])
+@pytest.mark.parametrize("command, argv", [
+    ("study", ["--problem", "paper-hammerstein", "--n", "4,8"]),
+    ("solve", ["--problem", "linear-green", "--n", "4", "--r", "2"]),
+])
+def test_stdout_holds_the_report_and_notes_go_to_stderr(tmp_path, capsys, command, argv, fmt):
+    """Without --out stdout is the bytes --out writes; with --out it is
+    empty.  The notes and the alpha summary are on stderr."""
+    assert main([command, *argv, "--format", fmt]) == 0
+    printed = capsys.readouterr()
+    out = tmp_path / f"report.{fmt}"
+    assert main([command, *argv, "--format", fmt, "--out", str(out)]) == 0
+    written = capsys.readouterr()
+    want = out.read_text()
+    if command == "study" and fmt == "json":  # the config echo holds its own --out
+        want = want.replace(f'"output_path": {json.dumps(str(out))}', '"output_path": null', 1)
+        assert strict(printed.out)["config"]["output_path"] is None
+    assert printed.out == want
+    assert written.out == ""
+    assert f"to {out}" in written.err and "wrote" not in printed.err
+    summary = "levels n=[4, 8]; alpha in ["
+    assert (summary in printed.err and summary in written.err) == (command == "study")
+
+
+def test_json_reports_write_non_finite_numbers_as_null(tmp_path, capsys):
+    """A zero-kernel study has NaN orders; a config tol of 1e999 is echoed:
+    both as null, which a strict parser reads."""
+    assert main(["study", "--problem", "zero-kernel", "--n", "2,4", "--format", "json"]) == 0
+    payload = strict(capsys.readouterr().out)
+    assert payload["data"]["alpha@(2:4)"] == [None]
+    assert payload["zeta_stabilization"] == {"2": None}
+    path = tmp_path / "study.json"
+    path.write_text('{"problem_id": "zero-kernel", "n_sequence": [2, 4], "tol": 1e999}')
+    assert main(["study", "--config", str(path), "--format", "json"]) == 0
+    assert strict(capsys.readouterr().out)["config"]["tol"] is None
+
+
+def test_closed_stdout_exits_3_with_one_line(tmp_path):
+    """A stdout whose reader closed before the run: the write always fails."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run([sys.executable, "-m", "urysohn", "study", "--problem",
+                               "zero-kernel", "--n", "2,4"], cwd=tmp_path, env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 3
+    assert one_config_error(done.stderr) and "cannot write" in done.stderr, done.stderr

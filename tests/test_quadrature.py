@@ -655,9 +655,10 @@ def no_tree(*args, **kwargs):
 @pytest.mark.parametrize("method", ["picard", "newton"])
 @pytest.mark.parametrize("problem_id", ["paper-hammerstein", "linear-green"])
 def test_hammerstein_solves_stay_off_the_cell_tree(monkeypatch, capsys, problem_id, method):
-    """Solves at r = 1, 2, 3 and a printed-RHS Newton study through the CLI
-    run with the tree's far field raising: value, Newton matrix, readout and
-    right-hand side all go by prefix sums and product integration."""
+    """Solves at r = 1, 2, 3, their assembled Newton matrices and a
+    printed-RHS Newton study through the CLI run with the tree's far field
+    raising: value, Newton matrix, readout and right-hand side all go by
+    prefix sums and product integration."""
     monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
     prob = u.get_problem(problem_id)
     mesh = u.make_mesh(8)
@@ -665,6 +666,8 @@ def test_hammerstein_solves_stay_off_the_cell_tree(monkeypatch, capsys, problem_
         sol = u.solve_galerkin(prob, mesh, r, u.SolveOptions(method=method))
         x_s = u.iterated_at_partition(prob, sol, u.gauss_rule(10)).values
         assert np.max(np.abs(x_s - prob.exact(mesh.points))) < mesh.h ** (2 * r)
+        mat = u.assemble_linearized(prob, sol.x_g, mesh, r, u.gauss_rule(10))
+        assert mat.shape == (mesh.n * r, mesh.n * r) and np.all(np.isfinite(mat))
     assert main(["study", "--problem", "paper-hammerstein", "--rhs", "paper", "--method", method,
                  "--n", "4,8"]) == 0
     assert "t_i," in capsys.readouterr().out

@@ -61,6 +61,32 @@ def test_picard_newton_and_direct_solve_agree(linear_green):
     assert np.max(np.abs(picard.x_g.coeffs - direct)) < 1e-10
 
 
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("problem_id", u.PROBLEM_IDS)
+def test_assembled_matrix_is_the_one_newton_factors(monkeypatch, problem_id, r):
+    """I - assemble_linearized at each Newton iterate is, bit for bit, the
+    matrix that step factors; neither enters the cell tree."""
+    prob, mesh = u.get_problem(problem_id), u.make_mesh(16)
+    steps = []
+
+    def spy(jac, rhs):
+        steps.append((jac, _solve_newton_step(jac, rhs)))
+        return steps[-1][1]
+
+    def no_tree(*args, **kwargs):
+        raise AssertionError("entered the cell tree")
+
+    monkeypatch.setattr(u.solver, "_solve_newton_step", spy)
+    monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
+    u.solve_galerkin(prob, mesh, r, u.SolveOptions(method="newton"))
+    x = u.project(prob.f, mesh, r)  # the first iterate
+    assert steps
+    for jac, step in steps:
+        assert np.array_equal(jac, np.eye(mesh.n * r)
+                              - u.assemble_linearized(prob, x, mesh, r, u.gauss_rule(10)))
+        x = u.PiecewisePoly(mesh, r, x.coeffs + step.reshape(x.coeffs.shape))
+
+
 def test_newton_with_its_own_inner_rule_agrees_with_picard():
     # quad_points unlike the projection rule: the Newton matrix is assembled
     # on the solve's one operator, at the projection nodes
