@@ -16,6 +16,7 @@ import sys
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
+from .piecewise import make_mesh
 from .problems import RHS_MODES, get_problem
 from .solver import METHODS
 from .study import (DISCRETE_MODES, OUTPUT_FORMATS, StudyConfig, _level_options, _render_columns,
@@ -34,8 +35,8 @@ class _Parser(argparse.ArgumentParser):
 def _n_list(text: str):
     try:
         return [int(piece) for piece in text.split(",") if piece]
-    except ValueError as exc:
-        raise ConfigError(f"bad mesh list {text!r}: {exc}") from exc
+    except ValueError as exc:  # argparse reports only this type's message
+        raise argparse.ArgumentTypeError(f"bad mesh list {text!r}: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -137,15 +138,15 @@ def _run_solve(args) -> int:
     opts = _level_options(args.n, r, discrete_mode, **given)
     prob = get_problem(args.problem_id, rhs_mode=args.rhs_mode or "manufactured")
     _check_out(args.output_path)
-    sol, pv = _solve_level(prob, args.n, r, opts, discrete_mode)
-    mesh = pv.mesh
+    points = make_mesh(args.n).points
+    sol, x_s = _solve_level(prob, args.n, r, opts, discrete_mode, points)
 
-    cols = [("t", mesh.points), ("x_s", pv.values)]
+    cols = [("t", points), ("x_s", x_s)]
     if prob.exact is not None:
-        exact = np.asarray(prob.exact(mesh.points), dtype=float)
-        cols += [("exact", exact), ("error", np.abs(exact - pv.values))]
+        exact = np.asarray(prob.exact(points), dtype=float)
+        cols += [("exact", exact), ("error", np.abs(exact - x_s))]
     _emit(_render_columns(cols, args.output_format or "csv"), args.output_path,
-          f"wrote {len(mesh.points)} samples to {args.output_path} "
+          f"wrote {len(points)} samples to {args.output_path} "
           f"({sol.iterations} iterations, final update {sol.final_update:.2e})")
     return 0
 
@@ -160,10 +161,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except DivergenceError as exc:
+    except (DivergenceError, SingularLinearizationError) as exc:
+        verb = "diverged" if isinstance(exc, DivergenceError) else "failed"
         level = f" at level n={exc.level}" if exc.level else ""
-        print(f"solver diverged{level}: {exc}", file=sys.stderr)
-        return 2
-    except SingularLinearizationError as exc:
-        print(f"solver failed: {exc}", file=sys.stderr)
+        print(f"solver {verb}{level}: {exc}", file=sys.stderr)
         return 2

@@ -20,8 +20,11 @@ class SingularLinearizationError(RuntimeError):
     """The linearized system is numerically singular.
 
     Usually signals that 1 is close to an eigenvalue of the derivative of
-    the integral operator at the current iterate.
+    the integral operator at the current iterate.  ``level`` is filled in
+    as for DivergenceError.
     """
+
+    level = None
 
 
 class MeshMismatchError(ValueError):

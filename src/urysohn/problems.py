@@ -116,22 +116,6 @@ class UrysohnProblem:
     name: str = ""
 
 
-def _two_piece(fn1, fn2, s, t, u) -> np.ndarray:
-    """fn1(s, t, u) where t <= s and fn2 elsewhere, on the broadcast shape;
-    each piece sees only the points of its own triangle."""
-    s_arr, t_arr, u_arr = np.broadcast_arrays(
-        np.asarray(s, dtype=float), np.asarray(t, dtype=float), np.asarray(u, dtype=float)
-    )
-    lower = t_arr <= s_arr
-    out = np.empty(s_arr.shape)
-    if np.any(lower):
-        out[lower] = fn1(s_arr[lower], t_arr[lower], u_arr[lower])
-    if not np.all(lower):
-        upper = ~lower
-        out[upper] = fn2(s_arr[upper], t_arr[upper], u_arr[upper])
-    return out
-
-
 def _like(s, values):
     """values at the points s: a float for a scalar s, else shaped like s."""
     out = np.reshape(values, np.shape(s))

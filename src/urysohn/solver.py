@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, _projector
 from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
-from .problems import UrysohnProblem, _bind_galerkin, _like, _two_piece, apply_K
+from .problems import UrysohnProblem, _bind_galerkin, _like, apply_K
 
 __all__ = [
     "SolveOptions",
@@ -276,9 +276,14 @@ def richardson(coarse: PartitionValues, fine: PartitionValues, r: int) -> Partit
         raise MeshMismatchError(
             f"fine mesh must refine the coarse one: {fine.mesh.n} != 2 * {coarse.mesh.n}"
         )
+    return PartitionValues(coarse.mesh, _extrapolate(coarse.values, fine.values[::2], r))
+
+
+def _extrapolate(coarse: np.ndarray, fine: np.ndarray, r: int) -> np.ndarray:
+    """(4^r fine - coarse) / (4^r - 1), for x_s on meshes n and 2n at the
+    same points."""
     weight = float(4 ** r)
-    vals = (weight * fine.values[::2] - coarse.values) / (weight - 1.0)
-    return PartitionValues(coarse.mesh, vals)
+    return (weight * fine - coarse) / (weight - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -296,17 +301,25 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     """
     opts = opts if opts is not None else SolveOptions()
     kern, n, h = prob.kernel, mesh.n, mesh.h
+    if opts.method == "newton":
+        kern.require_first_derivative()
     mids = mesh.points[:-1] + 0.5 * h
     f_mid = _sampled(prob.f, mids)
-    s_grid, t_grid = np.meshgrid(mids, mids, indexing="ij")
+    lower = np.tri(n, dtype=bool)  # t_j <= s_i takes kappa1, the diagonal included
+    s_grid, t_grid = np.broadcast_to(mids[:, None], (n, n)), np.broadcast_to(mids, (n, n))
+    triangles = [(mask, s_grid[mask], t_grid[mask]) for mask in (lower, ~lower)]
+
+    def on_grid(fn1, fn2, xv):  # fn(s_i, t_j, xv[j]), each piece on its own triangle
+        out, u_grid = np.empty((n, n)), np.broadcast_to(xv, (n, n))
+        for fn, (mask, s, t) in zip((fn1, fn2), triangles):
+            out[mask] = fn(s, t, u_grid[mask])
+        return out
 
     def value(xv):
-        k_mat = _two_piece(kern.kappa1, kern.kappa2, s_grid, t_grid, xv)  # xv[j] at t_j
-        return h * k_mat.sum(axis=1) + f_mid
+        return h * on_grid(kern.kappa1, kern.kappa2, xv).sum(axis=1) + f_mid
 
     def jacobian(xv):
-        kern.require_first_derivative()
-        return h * _two_piece(kern.du_kappa1, kern.du_kappa2, s_grid, t_grid, xv)
+        return h * on_grid(kern.du_kappa1, kern.du_kappa2, xv)
 
     sqrt_h = math.sqrt(h)  # the update is measured on the coefficient scale
 

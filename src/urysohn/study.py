@@ -18,17 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, SingularLinearizationError
 from .piecewise import make_mesh
 from .problems import get_problem
 from .quadrature import MAX_POINTS, gauss_rule
-from .solver import (
-    SolveOptions,
-    iterated_at_partition,
-    richardson,
-    solve_galerkin,
-    solve_paper_discrete,
-)
+from .solver import SolveOptions, _extrapolate, iterated_eval, solve_galerkin, solve_paper_discrete
 
 __all__ = [
     "StudyConfig",
@@ -52,6 +46,14 @@ _REFERENCE_REFINEMENT = 8
 # and weights of 2**20 cells alone take 3.4 GB.
 _MAX_CELLS = 2 ** 20
 
+# The most entries of a level's largest dense array, its quadratic one: the
+# (n r)^2 Newton matrix of the full scheme, of which a step holds a few
+# copies, or the n x n kernel grid of the midpoint scheme.  2**24 float64
+# entries take 128 MiB, so a 4,096-unknown Newton level runs and an
+# 8,192-cell one fails before it starts.  The arrays linear in n, which grow
+# with the quadrature points p, are bounded by _MAX_CELLS.
+_MAX_DENSE = 2 ** 24
+
 
 def _integer(name: str, value) -> int:
     """An integer field from outside (JSON or keyword); bools and strings are
@@ -64,8 +66,8 @@ def _integer(name: str, value) -> int:
 def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions:
     """The one check of a solve level: 1 <= n <= _MAX_CELLS cells, 1 <= r <=
     MAX_POINTS (the projection rule has max(r, 10) points), a known discrete
-    mode that admits r, and the SolveOptions built from ``solver``.  Every
-    failure is a ConfigError."""
+    mode that admits r, the SolveOptions built from ``solver``, and a dense
+    array of at most _MAX_DENSE entries.  Every failure is a ConfigError."""
     if n < 1:
         raise ConfigError(f"mesh sizes must be positive, got {n}")
     if n > _MAX_CELLS:
@@ -77,9 +79,14 @@ def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions
     if discrete_mode == "paper-discrete" and r != 1:
         raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
     try:
-        return SolveOptions(**solver)
+        opts = SolveOptions(**solver)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    side = n if discrete_mode == "paper-discrete" else n * r * (opts.method == "newton")
+    if side * side > _MAX_DENSE:
+        raise ConfigError(f"a level of {n} cells needs a dense array of {side}^2 entries, "
+                          f"more than {_MAX_DENSE}")
+    return opts
 
 
 @dataclass
@@ -124,11 +131,15 @@ class StudyConfig:
         self._solve_options()
         self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
 
+    def _levels(self, reference: bool = False) -> tuple:
+        """The mesh sizes this study solves, with ``reference`` its 8x-finer
+        reference level last."""
+        return self.n_sequence + (self.n_sequence[-1] * _REFERENCE_REFINEMENT,) * reference
+
     def _solve_options(self, reference: bool = False) -> SolveOptions:
         """The SolveOptions of this study, with every level it solves checked,
         and with ``reference`` its reference level too."""
-        levels = self.n_sequence + (self.n_sequence[-1] * _REFERENCE_REFINEMENT,) * reference
-        for n in levels:
+        for n in self._levels(reference):
             opts = _level_options(n, self.r, self.discrete_mode, method=self.method,
                                   tol=self.tol, max_iter=self.max_iter,
                                   quad_points=self.quad_points)
@@ -212,26 +223,35 @@ def zeta_estimate(errors: Sequence[np.ndarray], hs: Sequence[float], r: int):
     return zetas, metrics
 
 
-def _solve_level(prob, n, r, opts, discrete_mode):
+def _solve_level(prob, n, r, opts, discrete_mode, points):
     """The one scheme dispatch: solve on the uniform n-cell mesh and read x_s
-    at its partition points.  Returns ``(solution, partition_values)``; a
-    DivergenceError is tagged with the level n."""
+    at ``points``.  Returns ``(solution, x_s)``; a DivergenceError or a
+    SingularLinearizationError is tagged with the level n."""
     mesh = make_mesh(n)
     try:
         if discrete_mode == "paper-discrete":
             sol = solve_paper_discrete(prob, mesh, opts)
         else:
             sol = solve_galerkin(prob, mesh, r, opts)
-    except DivergenceError as exc:
+    except (DivergenceError, SingularLinearizationError) as exc:
         exc.level = n
         raise
-    return sol, iterated_at_partition(prob, sol, gauss_rule(opts.quad_points))
+    return sol, iterated_eval(prob, sol, points, gauss_rule(opts.quad_points))
+
+
+def _orders(errors: dict) -> dict:
+    """Pointwise estimate_order between consecutive levels of ``errors``,
+    keyed by the coarser one."""
+    levels = sorted(errors)
+    return {a: np.array([estimate_order(ec, ef) for ec, ef in zip(errors[a], errors[b])])
+            for a, b in zip(levels, levels[1:])}
 
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
     """Solve every level, measure errors at the coarse interior partition
     points, extrapolate consecutive pairs, and estimate orders.
 
+    x_s is read only at those points, which nest in every finer level.
     Endpoints are excluded: for Green's-kernel problems the operator
     contributes nothing at s in {0, 1} and the error there is quadrature
     noise.  Without an exact solution, a solve on an 8x-finer mesh serves
@@ -242,50 +262,22 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     reference_based = prob.exact is None
     opts = config._solve_options(reference_based)
     ns = config.n_sequence
-    n0 = ns[0]
-    coarse_idx = np.arange(1, n0)  # interior partition points of the coarsest mesh
-    points = make_mesh(n0).points[1:-1]
+    points = make_mesh(ns[0]).points[1:-1]
+    solved = {n: _solve_level(prob, n, config.r, opts, config.discrete_mode, points)
+              for n in config._levels(reference_based)}
+    exact = (solved[max(solved)][1] if reference_based
+             else np.asarray(prob.exact(points), dtype=float))
 
-    level_values = {}
-    partition = {}
-    iterations = {}
-    for n in ns:
-        sol, pv = _solve_level(prob, n, config.r, opts, config.discrete_mode)
-        partition[n] = pv
-        level_values[n] = pv.values[coarse_idx * (n // n0)]
-        iterations[n] = sol.iterations
-
-    if reference_based:
-        n_ref = ns[-1] * _REFERENCE_REFINEMENT
-        _, ref_pv = _solve_level(prob, n_ref, config.r, opts, config.discrete_mode)
-        exact_vals = ref_pv.values[coarse_idx * (n_ref // n0)]
-    else:
-        exact_vals = np.asarray(prob.exact(points), dtype=float)
-
-    signed = {n: exact_vals - level_values[n] for n in ns}
+    signed = {n: exact - solved[n][1] for n in ns}
     e1 = {n: np.abs(signed[n]) for n in ns}
-
-    alpha = {}
-    for a, b in zip(ns, ns[1:]):
-        alpha[a] = np.array([estimate_order(ec, ef) for ec, ef in zip(e1[a], e1[b])])
-
-    e2 = {}
-    for a, b in zip(ns, ns[1:]):
-        extrap = richardson(partition[a], partition[b], config.r)
-        e2[a] = np.abs(exact_vals - extrap.values[coarse_idx * (a // n0)])
-
-    beta = {}
-    e2_levels = sorted(e2)
-    for a, b in zip(e2_levels, e2_levels[1:]):
-        beta[a] = np.array([estimate_order(ec, ef) for ec, ef in zip(e2[a], e2[b])])
-
+    e2 = {a: np.abs(exact - _extrapolate(solved[a][1], solved[b][1], config.r))
+          for a, b in zip(ns, ns[1:])}
     zetas, metrics = zeta_estimate([signed[n] for n in ns], [1.0 / n for n in ns], config.r)
-    zeta = dict(zip(ns, zetas))
-    zeta_stabilization = dict(zip(ns, metrics))
 
     meta = {
-        "config": config.to_dict(),
-        "iterations": iterations,
+        # where the report is written is not part of it
+        "config": {key: value for key, value in config.to_dict().items() if key != "output_path"},
+        "iterations": {n: solved[n][0].iterations for n in ns},
         "reference_based": reference_based,
         "wall_time_s": time.perf_counter() - t_start,
     }
@@ -293,11 +285,11 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
         points=points,
         n_levels=tuple(ns),
         e1=e1,
-        alpha=alpha,
+        alpha=_orders(e1),
         e2=e2,
-        beta=beta,
-        zeta=zeta,
-        zeta_stabilization=zeta_stabilization,
+        beta=_orders(e2),
+        zeta=dict(zip(ns, zetas)),
+        zeta_stabilization=dict(zip(ns, metrics)),
         reference_based=reference_based,
         meta=meta,
     )

@@ -6,10 +6,13 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import urysohn as u
 import urysohn.study
 from urysohn.cli import main
+from urysohn.errors import SingularLinearizationError
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -137,6 +140,30 @@ def test_divergence_exit_code(tmp_path, capsys):
     assert "n=4" in capsys.readouterr().err
 
 
+def singular_scale() -> float:
+    """1/lambda, lambda the largest eigenvalue of linear-green's Newton matrix
+    J at scale 1 on 4 cells, r = 1.  J is linear in the scale and does not
+    depend on x, so at scale 1/lambda I - J is singular on that level."""
+    mesh = u.make_mesh(4)
+    prob = u.get_problem("linear-green", {"scale": 1.0})
+    jac = u.assemble_linearized(prob, u.project(prob.f, mesh, 1), mesh, 1, u.gauss_rule(10))
+    return 1.0 / float(np.max(np.linalg.eigvals(jac).real))
+
+
+def test_singular_newton_matrix_exits_2_and_names_the_level(tmp_path, capsys):
+    cfg = {"problem_id": "linear-green", "params": {"scale": singular_scale()},
+           "n_sequence": [4, 8], "method": "newton"}
+    with pytest.raises(SingularLinearizationError) as info:
+        u.run_study(u.StudyConfig(**cfg))
+    assert info.value.level == 4
+    path = tmp_path / "singular.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["study", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed at level n=4: linearized system is numerically singular")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_stagnation_exits_2_long_before_max_iter(capsys):
     assert main(["solve", "--problem", "paper-hammerstein", "--n", "1",
                  "--mode", "paper-discrete"]) == 2
@@ -225,6 +252,35 @@ def test_mesh_too_large_to_allocate_exits_3_before_any_solve(capsys, monkeypatch
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert one_config_error(err) and "at most 1048576 cells" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["study", "--problem", "paper-hammerstein", "--method", "newton", "--n", "8192,16384"],
+    ["study", "--problem", "paper-hammerstein", "--mode", "paper-discrete",
+     "--n", "16384,32768"],
+    ["solve", "--problem", "paper-hammerstein", "--method", "newton", "--n", "2048", "--r", "3"],
+    # only the 8x reference level of a printed-RHS Newton study is too large
+    ["study", "--problem", "paper-hammerstein", "--rhs", "paper", "--method", "newton",
+     "--n", "1024,2048"],
+])
+def test_dense_array_past_the_cap_exits_3_before_any_solve(capsys, monkeypatch, argv):
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    monkeypatch.setattr(urysohn.study, "solve_paper_discrete", no_solve)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and "more than 16777216" in err
+
+
+def test_bad_mesh_list_and_non_object_config_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    assert main(["study", "--problem", "zero-kernel", "--n", "4,x"]) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and "bad mesh list '4,x'" in err
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"problem_id": "zero-kernel", "n_sequence": [4, 8]}]))
+    assert main(["study", "--config", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and "must hold a JSON object" in err
 
 
 def _digits(k: int) -> str:
@@ -321,9 +377,6 @@ def test_stdout_holds_the_report_and_notes_go_to_stderr(tmp_path, capsys, comman
     assert main([command, *argv, "--format", fmt, "--out", str(out)]) == 0
     written = capsys.readouterr()
     want = out.read_text()
-    if command == "study" and fmt == "json":  # the config echo holds its own --out
-        want = want.replace(f'"output_path": {json.dumps(str(out))}', '"output_path": null', 1)
-        assert strict(printed.out)["config"]["output_path"] is None
     assert printed.out == want
     assert written.out == ""
     assert f"to {out}" in written.err and "wrote" not in printed.err

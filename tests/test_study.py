@@ -116,6 +116,22 @@ def test_levels_are_capped_at_a_fixed_cell_count():
         config._solve_options(reference=True)
 
 
+def test_dense_arrays_are_capped_at_a_fixed_entry_count():
+    """A Newton level's (n r)^2 matrix and the midpoint scheme's n x n grid
+    hold at most _MAX_DENSE entries; the full scheme's Picard levels have no
+    quadratic array."""
+    from urysohn.study import _MAX_CELLS, _MAX_DENSE, _level_options
+    assert _MAX_DENSE == 2 ** 24
+    for n, r in ((4096, 1), (2048, 2), (640, 2)):  # 640: a printed-RHS r = 2 reference
+        assert _level_options(n, r, "full", method="newton").method == "newton"
+    _level_options(4096, 1, "paper-discrete")
+    assert _level_options(_MAX_CELLS, 1, "full").method == "picard"
+    for n, r, mode, method in ((4097, 1, "full", "newton"), (2049, 2, "full", "newton"),
+                               (4097, 1, "paper-discrete", "picard")):
+        with pytest.raises(ConfigError, match=f"more than {_MAX_DENSE}"):
+            _level_options(n, r, mode, method=method)
+
+
 def test_config_keeps_numpy_integers_as_plain_ints():
     config = small_study(max_iter=np.int64(50), quad_points=np.int64(10))
     assert type(config.max_iter) is int and type(config.quad_points) is int
