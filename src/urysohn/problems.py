@@ -143,16 +143,16 @@ def _bind_integral(kernel, op: SplitOperator) -> Callable:
         else op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v)))
 
 
-def _bind_galerkin(kernel, op: SplitOperator, r: int, outer: GaussRule, to_coeffs):
-    """x -> the Galerkin coefficients of K(x), ``to_coeffs`` of K(x) at the
-    points of ``op``, and x -> the Newton matrix at x: by product integration
-    for a HammersteinKernel (``op.galerkin``), else on the split panels."""
+def _bind_galerkin(kernel, op: SplitOperator, r: int, outer: GaussRule):
+    """x -> the Galerkin coefficients of K(x) at order r and x -> the Newton
+    matrix at x, for the ``outer`` rule's nodes in every cell as the points
+    of ``op``: by product integration for a HammersteinKernel
+    (``op.galerkin``), else K(x) on the split panels times its test weights."""
     if isinstance(kernel, HammersteinKernel):
-        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, r, outer,
-                                      to_coeffs)
+        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, r, outer)
         return lambda x: value(kernel.psi, x), lambda x: jacobian(kernel.dpsi, x)
-    integral = _bind_integral(kernel, op)
-    return (lambda x: to_coeffs(integral(x)),
+    test = op._test_weights(r, outer)
+    return (lambda x: op.apply(kernel.kappa1, kernel.kappa2, x).reshape(op.mesh.n, -1) @ test,
             lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, r, outer))
 
 

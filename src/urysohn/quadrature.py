@@ -429,16 +429,11 @@ class SplitOperator:
         prefix sums of the cell integrals of b1 g and b2 g (reversed); only
         the two sub-panels depend on s.  The factors are sampled here, once;
         a call reads g at n p + 2 p S points, with no (S, n, p) block."""
-        return self._integrator(self._factors(a1, b1, a2, b2))
-
-    def _integrator(self, factors):
-        """``separable``'s function on the sampled ``_factors``."""
         p = self.rule.p
-        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = factors
+        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
 
-        def integrate(g, x, g_reg=None) -> np.ndarray:  # g_reg: g on the grid, if sampled
-            g_w = self.w * (_piece(g, self.t.shape, self.t, self._sample(x, sub=False))
-                            if g_reg is None else g_reg)
+        def integrate(g, x) -> np.ndarray:
+            g_w = self.w * _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
             g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
             before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
             left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
@@ -447,24 +442,23 @@ class SplitOperator:
 
         return integrate
 
-    def galerkin(self, a1, b1, a2, b2, r: int, outer: GaussRule, to_coeffs):
+    def galerkin(self, a1, b1, a2, b2, r: int, outer: GaussRule):
         """``(value, jacobian)`` by product integration, for points that are
-        the outer rule's nodes in every cell: ``value(g, x)`` is ``to_coeffs``
-        of ``separable``'s integral, ``jacobian(dg, x)`` its exact Jacobian in
-        the coefficients of x, of order r.  g is read on the node grid,
-        interpolated on each cell by the Lagrange basis L_l of its p nodes: the
-        split cell enters as sum_l g_jl M[j, l, i], M the sub-panel sums of the
-        test weights times a b L_l, the other cells as the prefix sums times
-        the test sums of a1 and a2 (rank-one Jacobian blocks).  Exact to
-        roundoff for g of degree < p on every cell; where g (or dg phi_b) is
-        not finite or has, in some cell, one of its last two Legendre
-        coefficients above _RESOLVED times the largest over all cells,
-        ``value`` takes ``separable``, the Jacobian's split cells dg on the
-        sub-panels."""
+        the outer rule's nodes in every cell: ``value(g, x)`` the Galerkin
+        coefficients of ``separable``'s integral, ``jacobian(dg, x)`` their
+        exact Jacobian in the coefficients of x, of order r.  g is read on
+        the node grid, interpolated on each cell by the Lagrange basis L_l of
+        its p nodes: the split cell enters as sum_l g_jl M[j, l, i], M the
+        sub-panel sums of the test weights times a b L_l, the other cells as
+        the prefix sums times the test sums of a1 and a2 (rank-one Jacobian
+        blocks).  Exact to roundoff for g of degree < p on every cell; where
+        g (or dg phi_b) is not finite or has, in some cell, one of its last
+        two Legendre coefficients above _RESOLVED times the largest over all
+        cells, the split cells take g (or dg) on the sub-panels instead."""
         from .piecewise import basis_table  # piecewise imports this module
         n, m, p, h = self.mesh.n, outer.p, self.rule.p, self.mesh.h
         test = self._test_weights(r, outer)  # (m, r)
-        factors = a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
+        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
         tau, sigma = self.rule.nodes, outer.nodes[:, None]
         local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)  # (m, 2p)
         bary = (-1.0) ** np.arange(p) * np.sqrt(tau * (1.0 - tau) * self.rule.weights)
@@ -488,12 +482,12 @@ class SplitOperator:
 
         def value(g, x):
             g_reg = _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
-            if not resolved(g_reg[..., None]):
-                return to_coeffs(self._integrator(factors)(g, x, g_reg))
             g_w = g_reg * self.w
             before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
-            return (pa1 * before[:-1, None] + pa2 * after[1:, None]
-                    + np.einsum("jl,jli->ji", g_reg, split))
+            own = (np.einsum("jl,jli->ji", g_reg, split) if resolved(g_reg[..., None]) else
+                   (ab() * self.w_sub * g(self.t_sub, self._sample(x, sub=True))).sum(1)
+                   .reshape(n, m) @ test)
+            return pa1 * before[:-1, None] + pa2 * after[1:, None] + own
 
         def jacobian(dg, x):
             d_phi = _piece(dg, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi

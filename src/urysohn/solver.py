@@ -144,7 +144,7 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
         kern.require_first_derivative()
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
-    galerkin, matrix = _bind_galerkin(kern, op, r, outer, to_coeffs)
+    galerkin, matrix = _bind_galerkin(kern, op, r, outer)
 
     def as_poly(coeffs):
         return PiecewisePoly(mesh, r, coeffs)
@@ -201,7 +201,7 @@ def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
             if rate <= 1.0 and update * rate ** left > opts.tol:
                 raise DivergenceError(
                     f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
-                    f"over the last {_STALL_WINDOW} iterations ({rate:.3f}) it cannot reach "
+                    f"over the last {_STALL_WINDOW} iterations ({rate:.3g}) it cannot reach "
                     f"tol {opts.tol:.1e} within max_iter {opts.max_iter}",
                     last_iterate=as_poly(c), update_norm=update,
                 )
@@ -247,7 +247,7 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     """
     prob.kernel.require_first_derivative()
     op = SplitOperator(mesh, rule, mesh.grid(rule.nodes))
-    return _bind_galerkin(prob.kernel, op, r, rule, None)[1](x)  # no value, so no to_coeffs
+    return _bind_galerkin(prob.kernel, op, r, rule)[1](x)
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):

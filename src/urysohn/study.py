@@ -50,9 +50,14 @@ _MAX_CELLS = 2 ** 20
 # (n r)^2 Newton matrix of the full scheme, of which a step holds a few
 # copies, or the n x n kernel grid of the midpoint scheme.  2**24 float64
 # entries take 128 MiB, so a 4,096-unknown Newton level runs and an
-# 8,192-cell one fails before it starts.  The arrays linear in n, which grow
-# with the quadrature points p, are bounded by _MAX_CELLS.
+# 8,192-cell one fails before it starts.
 _MAX_DENSE = 2 ** 24
+
+# The most entries of a level's largest array on its S = n max(r, 10)
+# projection nodes: the (S, 2p, r) basis table of the sub-panel nodes, or
+# the (S, 32) sub-panels of a manufactured right-hand side.  The cap is that
+# of a 2**20-cell level at r = 1 and p = 10, 2.5 GiB of float64.
+_MAX_NODE_ENTRIES = 2 ** 20 * 10 * 32
 
 
 def _integer(name: str, value) -> int:
@@ -66,8 +71,9 @@ def _integer(name: str, value) -> int:
 def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions:
     """The one check of a solve level: 1 <= n <= _MAX_CELLS cells, 1 <= r <=
     MAX_POINTS (the projection rule has max(r, 10) points), a known discrete
-    mode that admits r, the SolveOptions built from ``solver``, and a dense
-    array of at most _MAX_DENSE entries.  Every failure is a ConfigError."""
+    mode that admits r, the SolveOptions built from ``solver``, a dense
+    array of at most _MAX_DENSE entries and an array on the projection nodes
+    of at most _MAX_NODE_ENTRIES.  Every failure is a ConfigError."""
     if n < 1:
         raise ConfigError(f"mesh sizes must be positive, got {n}")
     if n > _MAX_CELLS:
@@ -86,6 +92,11 @@ def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions
     if side * side > _MAX_DENSE:
         raise ConfigError(f"a level of {n} cells needs a dense array of {side}^2 entries, "
                           f"more than {_MAX_DENSE}")
+    entries = n * max(r, 10) * max(2 * opts.quad_points * r, 32)
+    if entries > _MAX_NODE_ENTRIES:
+        raise ConfigError(f"a level of {n} cells at r = {r} with {opts.quad_points} quadrature "
+                          f"points needs an array of {entries} entries, more than "
+                          f"{_MAX_NODE_ENTRIES}")
     return opts
 
 

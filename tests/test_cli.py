@@ -172,6 +172,13 @@ def test_stagnation_exits_2_long_before_max_iter(capsys):
     assert int(re.search(r"iteration (\d+)", err).group(1)) < 50
 
 
+def test_stagnation_message_shows_a_rate_that_is_not_rounded_to_zero(capsys):
+    assert main(["study", "--problem", "linear-green", "--n", "2,4", "--tol", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert "stagnated" in err
+    assert float(re.search(r"iterations \(([^)]*)\)", err).group(1)) > 0.0
+
+
 def test_solve_dumps_samples(tmp_path):
     out = tmp_path / "samples.csv"
     code = main(["solve", "--problem", "linear-green", "--n", "4", "--r", "2",
@@ -269,6 +276,17 @@ def test_dense_array_past_the_cap_exits_3_before_any_solve(capsys, monkeypatch, 
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert one_config_error(err) and "more than 16777216" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "paper-hammerstein", "--n", "16384", "--r", "64"],
+    ["solve", "--problem", "paper-hammerstein", "--n", str(2 ** 20), "--quad-points", "64"],
+])
+def test_node_array_past_the_cap_exits_3_before_any_solve(capsys, monkeypatch, argv):
+    monkeypatch.setattr(urysohn.study, "solve_galerkin", no_solve)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert one_config_error(err) and "more than 335544320" in err
 
 
 def test_bad_mesh_list_and_non_object_config_exit_3_with_one_line(tmp_path, capsys, monkeypatch):

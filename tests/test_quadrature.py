@@ -480,9 +480,9 @@ def solve_operator(kern, n, r):
     """A solve's operator for kern on n cells at order r: the direct
     Galerkin coefficients and Newton matrix (to_coeffs of the prefix-sum
     integral, and the tree matrix), the bound product-integration pair, and
-    a pair of ``op.galerkin`` that fails on its direct path: the
-    coefficients when they reach ``to_coeffs``, the Newton matrix when it
-    reads dpsi anywhere but on the n p grid."""
+    a pair of ``op.galerkin`` that fails off the product path: the
+    coefficients when they read psi, the Newton matrix when it reads dpsi,
+    anywhere but on the n p grid."""
     mesh = u.make_mesh(n)
     outer, nodes, to_coeffs = _projector(mesh, r)
     op = SplitOperator(mesh, u.gauss_rule(10), nodes)
@@ -492,14 +492,17 @@ def solve_operator(kern, n, r):
     def unreachable(*args):
         raise AssertionError("took the direct path")
 
-    def dpsi_on_the_grid(t, x):
-        if np.shape(t) != op.t.shape:
-            unreachable()
-        return kern.dpsi(t, x)
+    def on_the_grid(fn):
+        def checked(t, x):
+            if np.shape(t) != op.t.shape:
+                unreachable()
+            return fn(t, x)
+        return checked
 
-    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, r, outer, unreachable)
-    product = (lambda x: value(kern.psi, x), lambda x: jacobian(dpsi_on_the_grid, x))
-    return mesh, direct, _bind_galerkin(kern, op, r, outer, to_coeffs), product
+    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, r, outer)
+    product = (lambda x: value(on_the_grid(kern.psi), x),
+               lambda x: jacobian(on_the_grid(kern.dpsi), x))
+    return mesh, direct, _bind_galerkin(kern, op, r, outer), product
 
 
 @pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
@@ -519,6 +522,29 @@ def test_product_integration_matches_the_direct_galerkin_sums(problem_id, gamma)
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("n", [1, 4, 16, 64])
+@pytest.mark.parametrize("r", [4, 5])
+def test_the_fallback_of_high_orders_matches_the_direct_galerkin_sums(r, n):
+    """paper-hammerstein at r = 4, 5, where CLI solves on coarse meshes take
+    the fallback: psi(t, x(t)) is of degree 3 (r - 1) >= p - 1 on every cell,
+    so its last Legendre coefficients do not fall below the bound on n <= 16
+    cells and every call reads psi off the grid; on 64 cells psi resolves
+    and is read on the grid only.  Coefficients and Newton matrix lie within
+    1e-14 of the direct path's largest entry."""
+    kern = u.get_problem("paper-hammerstein").kernel
+    mesh, direct, bound, (value, _) = solve_operator(kern, n, r)
+    for shift in (0.0, 0.3, -0.2):
+        x = u.project(lambda t: 2.0 / (2.0 * t + 1.0) + shift * np.sin(3.0 * t), mesh, r)
+        for want, got in zip((f(x) for f in direct), (f(x) for f in bound)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        if n < 64:
+            with pytest.raises(AssertionError, match="direct path"):
+                value(x)
+        else:
+            value(x)
+
+
 @pytest.mark.parametrize("n, r", [(1, 1), (3, 2), (16, 3), (7, 3)])
 def test_newton_matrix_is_the_jacobian_of_the_affine_coefficient_map(n, r):
     """For linear-green the coefficient map is affine, so every column of
@@ -535,12 +561,13 @@ def test_newton_matrix_is_the_jacobian_of_the_affine_coefficient_map(n, r):
         assert np.max(np.abs((moved - base).ravel() - mat[:, k])) < 1e-13
 
 
-def test_unresolved_psi_takes_the_direct_path_bit_for_bit():
+def test_unresolved_psi_takes_the_split_cell_sums():
     """psi = exp(u) cos(5 t) is not a polynomial of low degree on one cell:
-    at n = 1, r = 3 the coefficients and Newton matrix are the direct
-    path's, bit for bit, and the coefficients read psi at the n p grid
-    points once (the check's sample) and the 2 p S sub-panel points; on 160
-    cells it resolves."""
+    at n = 1, r = 3 the split cells take the sub-panel sums, so the Newton
+    matrix is the direct path's bit for bit and the coefficients lie within
+    1e-14 of its largest entry, and the coefficients read psi at the n p
+    grid points once and the 2 p S sub-panel points; on 160 cells it
+    resolves."""
     base = u.get_problem("paper-hammerstein").kernel
     points = []
 
@@ -551,8 +578,10 @@ def test_unresolved_psi_takes_the_direct_path_bit_for_bit():
     kern = dataclasses.replace(base, psi=wave, dpsi=wave)
     mesh, direct, bound, product = solve_operator(kern, 1, 3)
     x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, 3)
-    for want, got, fails in zip(direct, bound, product):
-        assert np.array_equal(got(x), want(x))
+    (want, want_matrix), (got, got_matrix) = (f(x) for f in direct), (f(x) for f in bound)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.array_equal(got_matrix, want_matrix)
+    for fails in product:
         with pytest.raises(AssertionError, match="direct path"):
             fails(x)
     points.clear()
@@ -688,12 +717,12 @@ def test_unresolved_hammerstein_newton_matrix_stays_off_the_cell_tree(monkeypatc
 
     kern = dataclasses.replace(u.get_problem("paper-hammerstein").kernel, psi=wave, dpsi=wave)
     mesh, rule = u.make_mesh(n), u.gauss_rule(10)
-    outer, nodes, to_coeffs = _projector(mesh, r)
+    outer, nodes, _ = _projector(mesh, r)
     x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, r)
     oracles = (SplitOperator(mesh, rule, nodes).matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer),
                dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule, outer))
     monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
-    _, jacobian = _bind_galerkin(kern, SplitOperator(mesh, rule, nodes), r, outer, to_coeffs)
+    _, jacobian = _bind_galerkin(kern, SplitOperator(mesh, rule, nodes), r, outer)
     points.clear()
     got = jacobian(x)
     assert sum(points) == n * rule.p + 2 * rule.p * nodes.size

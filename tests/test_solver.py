@@ -456,6 +456,16 @@ def test_singular_linearization_detected():
         u.solve_galerkin(prob, u.make_mesh(4), 1, u.SolveOptions(method="picard", max_iter=30))
 
 
+def test_newton_matrix_numpy_cannot_factor_is_singular():
+    with pytest.raises(SingularLinearizationError, match="^linear solve failed: Singular matrix$"):
+        _solve_newton_step(np.zeros((2, 2)), np.ones(2))
+
+
+def test_partition_values_need_one_value_per_partition_point():
+    with pytest.raises(MeshMismatchError, match=re.escape("expected 5 partition values, got (4,)")):
+        u.PartitionValues(u.make_mesh(4), np.ones(4))
+
+
 @pytest.mark.parametrize("method", ["picard", "newton"])
 @pytest.mark.parametrize("scheme", ["galerkin", "paper-discrete"])
 def test_non_finite_update_stops_at_once(method, scheme):

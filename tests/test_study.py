@@ -132,6 +132,22 @@ def test_dense_arrays_are_capped_at_a_fixed_entry_count():
             _level_options(n, r, mode, method=method)
 
 
+def test_arrays_on_the_projection_nodes_are_capped_at_a_fixed_entry_count():
+    """A level's (S, 2p, r) basis table at the sub-panel nodes and (S, 32)
+    sub-panels of a manufactured right-hand side, S = n max(r, 10), hold at
+    most _MAX_NODE_ENTRIES, those of a 2**20-cell level at r = 1 and p = 10;
+    the cap passes and one past it fails, in n, r and p."""
+    from urysohn.study import _MAX_CELLS, _MAX_NODE_ENTRIES, _level_options
+    assert _MAX_NODE_ENTRIES == _MAX_CELLS * 10 * 32
+    for n, r, p in ((_MAX_CELLS, 1, 10), (_MAX_CELLS, 1, 16), (_MAX_CELLS // 2, 1, 32),
+                    (838_860, 2, 10), (4096, 64, 10)):
+        assert _level_options(n, r, "full", quad_points=p).quad_points == p
+    for n, r, p in ((_MAX_CELLS, 1, 17), (_MAX_CELLS, 2, 10), (838_861, 2, 10), (4097, 64, 10),
+                    (16384, 64, 10), (_MAX_CELLS, 1, 64)):
+        with pytest.raises(ConfigError, match=f"more than {_MAX_NODE_ENTRIES}"):
+            _level_options(n, r, "full", quad_points=p)
+
+
 def test_config_keeps_numpy_integers_as_plain_ints():
     config = small_study(max_iter=np.int64(50), quad_points=np.int64(10))
     assert type(config.max_iter) is int and type(config.quad_points) is int
