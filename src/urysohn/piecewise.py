@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _frozen, _sampled, gauss_rule
+from .quadrature import _count, _frozen, _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
@@ -35,6 +35,7 @@ class UniformMesh:
     points: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _count(self.n, "cell count"))
         if self.n < 1:
             raise ValueError(f"cell count must be positive, got {self.n}")
         object.__setattr__(self, "h", 1.0 / self.n)
@@ -50,7 +51,7 @@ class UniformMesh:
         return int(cells) if arr.ndim == 0 else cells
 
     def _check_domain(self, s: np.ndarray) -> None:
-        if np.any((s < 0.0) | (s > 1.0)):
+        if not np.all((s >= 0.0) & (s <= 1.0)):
             raise ValueError("point outside [0, 1]")
 
     def _cells(self, s: np.ndarray, side: str) -> np.ndarray:
@@ -65,9 +66,7 @@ class UniformMesh:
         return np.clip((t - self.points[cells]) / self.h, 0.0, 1.0)
 
 
-def make_mesh(n: int) -> UniformMesh:
-    """Uniform mesh with n cells."""
-    return UniformMesh(int(n))
+make_mesh = UniformMesh
 
 
 def basis_table(r: int, tau: np.ndarray) -> np.ndarray:
@@ -112,24 +111,19 @@ class PiecewisePoly:
         arr = np.asarray(s, dtype=float)
         self.mesh._check_domain(arr)
         cells = self.mesh._cells(arr, side)
-        vals = self.eval_on_cells(arr, cells)
+        vals = self.eval_on_cells(basis_table(self.r, self.mesh.local(arr, cells)), cells)
         return float(vals) if arr.ndim == 0 else vals
 
-    def eval_on_cells(self, t: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Evaluate using given cell indices (t assumed inside those cells)."""
-        return self.eval_on_table(basis_table(self.r, self.mesh.local(t, cells)), cells)
-
-    def eval_on_table(self, table: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        """Evaluate at points of the given cells whose basis values,
-        ``basis_table`` at their local coordinates, are ``table``."""
+    def eval_on_cells(self, table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        """The values at points of ``cells`` whose ``basis_table`` at their
+        cell-local coordinates is ``table``; ``cells`` broadcasts against it."""
         return np.einsum("...q,...q->...", self.coeffs[cells], table) / math.sqrt(self.mesh.h)
-
-    def __call__(self, s):
-        return self._eval(s, "left")
 
     def eval_left(self, s):
         """Left limit; at s = 0 this is the value from the first cell."""
         return self._eval(s, "left")
+
+    __call__ = eval_left
 
     def eval_right(self, s):
         """Right limit; at s = 1 this is the value from the last cell."""

@@ -44,6 +44,7 @@ class GaussRule:
     weights: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "p", _count(self.p, "rule size"))
         if not 1 <= self.p <= MAX_POINTS:
             raise ValueError(f"rule size must be in [1, {MAX_POINTS}], got {self.p}")
         x, w = np.polynomial.legendre.leggauss(self.p)
@@ -53,10 +54,17 @@ class GaussRule:
 
 def gauss_rule(p: int) -> GaussRule:
     """The p-point Gauss-Legendre rule on [0, 1], exact to degree 2p - 1, built once."""
-    return _rules(int(p))
+    return _rules(_count(p, "rule size"))
 
 
 _rules = cache(GaussRule)
+
+
+def _count(value, what: str) -> int:
+    """A size given as an integer (a bool or a float is not one), as an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _frozen(*arrays):
@@ -232,7 +240,7 @@ class SplitOperator:
             return np.stack([self._sample(y, sub) for y in x], axis=-1)
         t, cells = self._nodes[sub]
         if getattr(x, "mesh", None) == self.mesh:
-            return x.eval_on_table(self.basis(x.r)[sub], cells)
+            return x.eval_on_cells(self.basis(x.r)[sub], cells)
         return _sampled(x, t)
 
     @cached_property

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
-from .piecewise import PiecewisePoly, UniformMesh, _projector
+from .piecewise import PiecewisePoly, UniformMesh, _projector, basis_table
 from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
 from .problems import UrysohnProblem, _bind_galerkin, _like, apply_K
 
@@ -119,10 +119,8 @@ class PartitionValues:
 
 def _sup_on_rule(poly: PiecewisePoly, rule: GaussRule) -> float:
     """Sup of |poly| sampled on the per-cell quadrature grid plus cell edges."""
-    mesh = poly.mesh
-    t = mesh.grid(np.concatenate(([0.0], rule.nodes, [1.0])))
-    cells = np.broadcast_to(np.arange(mesh.n)[:, None], t.shape)
-    return float(np.max(np.abs(poly.eval_on_cells(t, cells))))
+    table = basis_table(poly.r, np.concatenate(([0.0], rule.nodes, [1.0])))
+    return float(np.max(np.abs(poly.eval_on_cells(table, np.arange(poly.mesh.n)[:, None]))))
 
 
 def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,

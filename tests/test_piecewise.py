@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import urysohn as u
+from urysohn.quadrature import SplitOperator
 
 
 def composite_inner(f, g, mesh, p=20):
@@ -61,6 +62,22 @@ def test_meshes_and_rules_are_their_one_input():
         u.GaussRule(65)
 
 
+@pytest.mark.parametrize("build, size", [
+    (u.gauss_rule, 2.5), (u.gauss_rule, "3"), (u.GaussRule, True), (u.GaussRule, 2.5),
+    (u.UniformMesh, 2.5), (u.UniformMesh, True), (u.make_mesh, 2.5),
+])
+def test_mesh_and_rule_sizes_are_integers(build, size):
+    with pytest.raises(ValueError, match="must be an integer"):
+        build(size)
+
+
+def test_make_mesh_is_uniform_mesh_and_stores_an_int():
+    assert u.make_mesh is u.UniformMesh
+    mesh = u.UniformMesh(np.int64(4))
+    assert type(mesh.n) is int and mesh == u.UniformMesh(4)
+    assert type(u.GaussRule(np.int64(3)).p) is int
+
+
 def test_mesh_points_strictly_increasing_constant_gap():
     mesh = u.make_mesh(37)
     gaps = np.diff(mesh.points)
@@ -86,6 +103,17 @@ def test_cell_of_left_convention():
     assert mesh.cell_of(1.0) == 3
     with pytest.raises(ValueError):
         mesh.cell_of(1.2)
+
+
+def test_nan_is_outside_the_domain():
+    mesh = u.make_mesh(4)
+    x = u.project(np.exp, mesh, 2)
+    readers = (mesh.cell_of, x, x.eval_left, x.eval_right,
+               lambda s: SplitOperator(mesh, u.gauss_rule(4), s))
+    for read in readers:
+        for s in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match=r"point outside \[0, 1\]"):
+                read(s)
 
 
 # --- orthonormal basis -----------------------------------------------------
@@ -121,6 +149,22 @@ def test_basis_degree_matches_index():
 
 
 # --- piecewise polynomials ---------------------------------------------------
+
+
+def test_coefficient_shape_must_match_mesh_and_order():
+    with pytest.raises(ValueError, match=r"must be \(4, 2\), got \(4, 3\)"):
+        u.PiecewisePoly(u.make_mesh(4), 2, np.zeros((4, 3)))
+
+
+def test_eval_on_cells_reads_a_basis_table():
+    """The one evaluator: a table of the basis at cell-local points, read
+    against the coefficients of the given cells, is the pointwise value."""
+    mesh, tau = u.make_mesh(3), np.array([0.1, 0.5, 0.9])
+    x = u.project(np.exp, mesh, 3)
+    cells = np.arange(mesh.n)[:, None]
+    np.testing.assert_allclose(x.eval_on_cells(u.basis_table(3, tau), cells),
+                               x(mesh.grid(tau)), rtol=0, atol=1e-15)
+    assert u.PiecewisePoly.__call__ is u.PiecewisePoly.eval_left
 
 
 def test_constant_reproduction():

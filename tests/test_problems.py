@@ -136,6 +136,23 @@ def test_operator_calls_take_scalar_or_array(hammerstein, rule16):
         np.testing.assert_allclose(batched.ravel(), singles, rtol=0, atol=1e-14, err_msg=name)
 
 
+def test_operator_calls_reject_nan(hammerstein, rule16):
+    mesh = u.make_mesh(4)
+    sol = u.solve_galerkin(hammerstein, mesh, 1)
+    x = sol.x_g
+    calls = {
+        "apply_K": lambda s: u.apply_K(hammerstein, x, s, rule16, mesh),
+        "apply_Kprime": lambda s: u.apply_Kprime(hammerstein, x, np.cos, s, rule16, mesh),
+        "manufactured_f": lambda s: u.manufactured_f(hammerstein.kernel, np.cos, s, rule16, mesh),
+        "residual": lambda s: u.residual(hammerstein, x, s, rule16, mesh),
+        "iterated_eval": lambda s: u.iterated_eval(hammerstein, sol, s, rule16),
+    }
+    for call in calls.values():
+        for s in (np.nan, np.array([0.5, np.nan])):
+            with pytest.raises(ValueError, match=r"point outside \[0, 1\]"):
+                call(s)
+
+
 def test_exact_solution_satisfies_equation(hammerstein, rule16):
     mesh = u.make_mesh(8)
     phi = hammerstein.exact
