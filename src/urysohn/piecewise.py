@@ -100,6 +100,7 @@ class PiecewisePoly:
     coeffs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "r", _order(self.r))
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.shape != (self.mesh.n, self.r):
             raise ValueError(
@@ -130,13 +131,20 @@ class PiecewisePoly:
         return self._eval(s, "right")
 
 
+def _order(r) -> int:
+    """A polynomial order (an integer r >= 1), as an int."""
+    r = _count(r, "polynomial order")
+    if r < 1:
+        raise ValueError(f"polynomial order must be positive, got {r}")
+    return r
+
+
 def _projector(mesh: UniformMesh, r: int):
     """The projection onto order r: its max(r, 10)-point Gauss rule, which
     keeps the quadrature error far below the h^r projection error for
     smooth f, the rule's nodes in every cell (flattened), and the map from
     values at those nodes to projection coefficients."""
-    if r < 1:
-        raise ValueError(f"polynomial order must be positive, got {r}")
+    r = _order(r)
     rule = gauss_rule(max(r, 10))
     table = basis_table(r, rule.nodes)  # (p, r)
 

@@ -273,8 +273,12 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
     if params is not None and not isinstance(params, dict):
         raise ConfigError(f"params must be a mapping, got {params!r}")
     params = dict(params or {})
+    if problem_id not in PROBLEM_IDS:
+        raise ConfigError(f"unknown problem {problem_id!r}; expected one of {PROBLEM_IDS}")
     if rhs_mode not in RHS_MODES:
         raise ConfigError(f"unknown rhs mode {rhs_mode!r}; expected one of {RHS_MODES}")
+    if rhs_mode != "manufactured" and problem_id != "paper-hammerstein":
+        raise ConfigError(f"{problem_id} has no printed right-hand side")
 
     def take(key, default):
         value = params.pop(key, default)
@@ -302,17 +306,9 @@ def get_problem(problem_id: str, params: Optional[dict] = None, rhs_mode: str = 
     if problem_id == "paper-hammerstein":
         prob = _hammerstein_problem(take_gamma(), rhs_mode)
     elif problem_id == "linear-green":
-        gamma = take_gamma()
-        scale = take("scale", 1.0)
-        if rhs_mode != "manufactured":
-            raise ConfigError(f"{problem_id} has no printed right-hand side")
-        prob = _linear_green_problem(gamma, scale)
-    elif problem_id == "zero-kernel":
-        if rhs_mode != "manufactured":
-            raise ConfigError(f"{problem_id} has no printed right-hand side")
-        prob = _zero_kernel_problem()
+        prob = _linear_green_problem(take_gamma(), take("scale", 1.0))
     else:
-        raise ConfigError(f"unknown problem {problem_id!r}; expected one of {PROBLEM_IDS}")
+        prob = _zero_kernel_problem()
 
     if params:
         raise ConfigError(f"unknown parameters for {problem_id}: {sorted(params)}")

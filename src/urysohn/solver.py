@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
 from .piecewise import PiecewisePoly, UniformMesh, _projector, basis_table
-from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _sampled, gauss_rule
+from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _count, _sampled, gauss_rule
 from .problems import UrysohnProblem, _bind_galerkin, _like, apply_K
 
 __all__ = [
@@ -57,9 +57,10 @@ class SolveOptions:
 
     ``tol`` bounds the sup norm of the coefficient update; ``quad_points``
     sets the Gauss rule used inside the integral operator, at most
-    ``MAX_POINTS``.  ``tol`` must be a number and ``max_iter`` and
-    ``quad_points`` integers; strings and bools are rejected with
-    ValueError.  Every solve starts from the projection of f.
+    ``MAX_POINTS``.  ``tol`` must be a positive finite number and
+    ``max_iter`` and ``quad_points`` integers, stored as ``int``; strings
+    and bools are rejected with ValueError.  Every solve starts from the
+    projection of f.
     """
 
     method: str = "picard"
@@ -68,16 +69,14 @@ class SolveOptions:
     quad_points: int = 10
 
     def __post_init__(self):
-        for name, kind, what in (("tol", numbers.Real, "a number"),
-                                 ("max_iter", numbers.Integral, "an integer"),
-                                 ("quad_points", numbers.Integral, "an integer")):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {what}, got {value!r}")
+        if isinstance(self.tol, bool) or not isinstance(self.tol, numbers.Real):
+            raise ValueError(f"tol must be a number, got {self.tol!r}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tolerance must be positive and finite, got {self.tol!r}")
+        object.__setattr__(self, "max_iter", _count(self.max_iter, "max_iter"))
+        object.__setattr__(self, "quad_points", _count(self.quad_points, "quad_points"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 2 <= self.quad_points <= MAX_POINTS:

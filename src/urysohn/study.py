@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
@@ -21,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
 from .piecewise import make_mesh
 from .problems import get_problem
-from .quadrature import MAX_POINTS, gauss_rule
+from .quadrature import MAX_POINTS, _count, gauss_rule
 from .solver import SolveOptions, _extrapolate, iterated_eval, solve_galerkin, solve_paper_discrete
 
 __all__ = [
@@ -60,20 +59,18 @@ _MAX_DENSE = 2 ** 24
 _MAX_NODE_ENTRIES = 2 ** 20 * 10 * 32
 
 
-def _integer(name: str, value) -> int:
-    """An integer field from outside (JSON or keyword); bools and strings are
-    rejected rather than coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions:
-    """The one check of a solve level: 1 <= n <= _MAX_CELLS cells, 1 <= r <=
-    MAX_POINTS (the projection rule has max(r, 10) points), a known discrete
-    mode that admits r, the SolveOptions built from ``solver``, a dense
-    array of at most _MAX_DENSE entries and an array on the projection nodes
-    of at most _MAX_NODE_ENTRIES.  Every failure is a ConfigError."""
+    """The one check of a solve level: integers 1 <= n <= _MAX_CELLS cells
+    and 1 <= r <= MAX_POINTS (the projection rule has max(r, 10) points), a
+    known discrete mode that admits r, the SolveOptions built from
+    ``solver``, a dense array of at most _MAX_DENSE entries and an array on
+    the projection nodes of at most _MAX_NODE_ENTRIES.  Every failure is a
+    ConfigError."""
+    try:
+        n, r = _count(n, "mesh size"), _count(r, "polynomial order")
+        opts = SolveOptions(**solver)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if n < 1:
         raise ConfigError(f"mesh sizes must be positive, got {n}")
     if n > _MAX_CELLS:
@@ -84,10 +81,6 @@ def _level_options(n: int, r: int, discrete_mode: str, **solver) -> SolveOptions
         raise ConfigError(f"unknown discrete mode {discrete_mode!r}")
     if discrete_mode == "paper-discrete" and r != 1:
         raise ConfigError("the paper-discrete scheme is piecewise constant (r = 1)")
-    try:
-        opts = SolveOptions(**solver)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     side = n if discrete_mode == "paper-discrete" else n * r * (opts.method == "newton")
     if side * side > _MAX_DENSE:
         raise ConfigError(f"a level of {n} cells needs a dense array of {side}^2 entries, "
@@ -107,9 +100,9 @@ class StudyConfig:
     ``n_sequence`` must be strictly doubling so partition points nest.
     ``r``, ``max_iter``, ``quad_points`` and the ``n_sequence`` entries must
     be integers and ``tol`` a number; strings and bools are rejected, not
-    coerced (the solver fields by the SolveOptions built here).  The
-    ranges are those of every solve level, checked by ``_level_options``.
-    JSON config files use exactly these field names.
+    coerced.  Those types and ranges are those of every solve level, checked
+    by ``_level_options``.  A ``params`` of None is stored as ``{}``.  JSON
+    config files use exactly these field names.
     """
 
     problem_id: str
@@ -126,12 +119,15 @@ class StudyConfig:
     output_format: str = "csv"
 
     def __post_init__(self):
+        self.params = {} if self.params is None else self.params
         if isinstance(self.n_sequence, (str, bytes)) or not isinstance(self.n_sequence, Iterable):
             raise ConfigError(f"n_sequence must be a list of integers, got {self.n_sequence!r}")
-        self.n_sequence = tuple(_integer("n_sequence entry", n) for n in self.n_sequence)
-        self.r = _integer("r", self.r)
+        self.n_sequence = tuple(self.n_sequence)
         if len(self.n_sequence) < 2:
             raise ConfigError("n_sequence needs at least two levels")
+        opts = self._solve_options()
+        self.n_sequence, self.r = tuple(map(int, self.n_sequence)), int(self.r)
+        self.max_iter, self.quad_points = opts.max_iter, opts.quad_points
         for a, b in zip(self.n_sequence, self.n_sequence[1:]):
             if b != 2 * a:
                 raise ConfigError(f"n_sequence must double at every step, got {self.n_sequence}")
@@ -139,13 +135,12 @@ class StudyConfig:
             raise ConfigError(f"unknown output format {self.output_format!r}")
         if self.output_path is not None and not isinstance(self.output_path, str):
             raise ConfigError(f"output_path must be a string, got {self.output_path!r}")
-        self._solve_options()
-        self.max_iter, self.quad_points = int(self.max_iter), int(self.quad_points)
 
     def _levels(self, reference: bool = False) -> tuple:
         """The mesh sizes this study solves, with ``reference`` its 8x-finer
         reference level last."""
-        return self.n_sequence + (self.n_sequence[-1] * _REFERENCE_REFINEMENT,) * reference
+        ns = self.n_sequence
+        return ns + (ns[-1] * _REFERENCE_REFINEMENT,) if reference else ns
 
     def _solve_options(self, reference: bool = False) -> SolveOptions:
         """The SolveOptions of this study, with every level it solves checked,

@@ -25,8 +25,8 @@ _FLAGS = [
     ("--r", _text(st.integers(1, 64)),
      st.one_of(_text(st.integers(-3, 0)), _text(st.integers(65, 80)),
                st.sampled_from(["nan", "x", "2.5"]))),
-    ("--tol", st.sampled_from(["1e-12", "1e-6", "1e-3", "inf"]),
-     st.sampled_from(["0", "-1", "nan", "x"])),
+    ("--tol", st.sampled_from(["1e-12", "1e-6", "1e-3"]),
+     st.sampled_from(["0", "-1", "nan", "inf", "x"])),
     ("--max-iter", _text(st.integers(1, 4)), _text(st.integers(-1, 0))),
     ("--quad-points", _text(st.integers(2, 64)),
      st.one_of(_text(st.integers(-1, 1)), _text(st.integers(65, 70)), st.just("x"))),

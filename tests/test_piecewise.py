@@ -240,6 +240,24 @@ def test_projection_rejects_bad_order():
         u.project(np.exp, u.make_mesh(2), 0)
 
 
+@pytest.mark.parametrize("r", [2.5, 2.0, True, "2", 0])
+@pytest.mark.parametrize("build", [
+    lambda r: u.project(np.exp, u.make_mesh(4), r),
+    lambda r: u.solve_galerkin(u.get_problem("zero-kernel"), u.make_mesh(4), r),
+    lambda r: u.PiecewisePoly(u.make_mesh(4), r, np.zeros((4, 1))),
+], ids=["project", "solve_galerkin", "PiecewisePoly"])
+def test_orders_are_integers_of_at_least_one(build, r):
+    with pytest.raises(ValueError, match="polynomial order"):
+        build(r)
+
+
+def test_numpy_integer_orders_are_stored_as_int():
+    mesh, r = u.make_mesh(4), np.int64(2)
+    assert type(u.PiecewisePoly(mesh, r, np.zeros((4, 2))).r) is int
+    assert type(u.project(np.exp, mesh, r).r) is int
+    assert type(u.solve_galerkin(u.get_problem("zero-kernel"), mesh, r).x_g.r) is int
+
+
 def test_projection_idempotent_on_random_members(rng):
     mesh = u.make_mesh(6)
     for r in (1, 2, 3):

@@ -64,6 +64,8 @@ def test_zeta_requires_two_levels():
 
 def test_config_rejects_short_or_non_doubling_sequences():
     with pytest.raises(ConfigError):
+        small_study(n_sequence=())
+    with pytest.raises(ConfigError):
         small_study(n_sequence=(8,))
     with pytest.raises(ConfigError):
         small_study(n_sequence=(8, 12))
@@ -84,6 +86,8 @@ def test_config_rejects_bad_fields():
         small_study(method="bfgs")
     with pytest.raises(ConfigError):
         small_study(tol=-1.0)
+    with pytest.raises(ConfigError):
+        small_study(tol=float("inf"))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -91,7 +95,7 @@ def test_config_rejects_bad_fields():
     ("max_iter", "50"), ("max_iter", False),
     ("quad_points", 10.0), ("quad_points", "10"),
     ("n_sequence", ("8", "16")), ("n_sequence", (8.0, 16.0)), ("n_sequence", "8,16"),
-    ("n_sequence", 8),
+    ("n_sequence", 8), ("n_sequence", (None, None)),
     ("tol", "1e-12"), ("tol", True), ("tol", None),
 ])
 def test_config_rejects_wrongly_typed_fields(field, value):
@@ -151,6 +155,10 @@ def test_arrays_on_the_projection_nodes_are_capped_at_a_fixed_entry_count():
 def test_config_keeps_numpy_integers_as_plain_ints():
     config = small_study(max_iter=np.int64(50), quad_points=np.int64(10))
     assert type(config.max_iter) is int and type(config.quad_points) is int
+    config = small_study(r=np.int64(1), n_sequence=np.array([4, 8]))
+    assert type(config.r) is int and all(type(n) is int for n in config.n_sequence)
+    opts = u.SolveOptions(max_iter=np.int64(5), quad_points=np.int64(7))
+    assert type(opts.max_iter) is int and type(opts.quad_points) is int
     json.dumps(config.to_dict())
 
 
@@ -283,9 +291,10 @@ def test_orders_recomputed_from_emitted_errors_match(tmp_path):
 
 
 def test_identical_configs_emit_identical_bytes(tmp_path):
+    """A params of None is the study of no parameters, and so are its bytes."""
     paths = []
-    for tag in ("a", "b"):
-        report = u.run_study(small_study(n_sequence=(4, 8)))
+    for tag, params in (("a", None), ("b", {})):
+        report = u.run_study(small_study(n_sequence=(4, 8), params=params))
         path = tmp_path / f"report_{tag}.json"
         u.emit_report(report, "json", str(path))
         paths.append(path)
