@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import _count, _frozen, _sampled, gauss_rule
+from .quadrature import GaussRule, _count, _frozen, _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
@@ -71,7 +71,7 @@ make_mesh = UniformMesh
 
 def basis_table(r: int, tau: np.ndarray) -> np.ndarray:
     """Values of the first r orthonormal basis polynomials, shape tau.shape + (r,)."""
-    tau = np.asarray(tau, dtype=float)
+    r, tau = _order(r), np.asarray(tau, dtype=float)
     x = 2.0 * tau - 1.0
     out = np.empty(x.shape + (r,))
     out[..., 0] = 1.0
@@ -153,6 +153,13 @@ def _projector(mesh: UniformMesh, r: int):
         return math.sqrt(mesh.h) * ((vals * rule.weights) @ table)
 
     return rule, mesh.grid(rule.nodes).ravel(), to_coeffs
+
+
+def _test_weights(mesh: UniformMesh, r: int, rule: GaussRule) -> np.ndarray:
+    """h (1/sqrt h) w phi (p, r): values at the rule's p nodes in a cell to
+    the Galerkin coefficients of order r of that cell."""
+    h = mesh.h
+    return h * (1.0 / math.sqrt(h)) * rule.weights[:, None] * basis_table(r, rule.nodes)
 
 
 def project(f, mesh: UniformMesh, r: int) -> PiecewisePoly:

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, MissingDerivativeError
-from .piecewise import UniformMesh, make_mesh
+from .piecewise import UniformMesh, _test_weights, make_mesh
 from .quadrature import GaussRule, SplitOperator, _sampled, gauss_rule
 
 __all__ = [
@@ -143,17 +143,18 @@ def _bind_integral(kernel, op: SplitOperator) -> Callable:
         else op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v)))
 
 
-def _bind_galerkin(kernel, op: SplitOperator, r: int, outer: GaussRule):
+def _bind_galerkin(kernel, mesh: UniformMesh, r: int, outer: GaussRule, inner: GaussRule):
     """x -> the Galerkin coefficients of K(x) at order r and x -> the Newton
-    matrix at x, for the ``outer`` rule's nodes in every cell as the points
-    of ``op``: by product integration for a HammersteinKernel
-    (``op.galerkin``), else K(x) on the split panels times its test weights."""
+    matrix at x, from an operator of the ``inner`` rule at the ``outer`` rule's
+    nodes in every cell and that rule's test weights, both built here once: by
+    product integration for a HammersteinKernel, else on the split panels."""
+    test = _test_weights(mesh, r, outer)
+    op = SplitOperator(mesh, inner, mesh.grid(outer.nodes))
     if isinstance(kernel, HammersteinKernel):
-        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, r, outer)
+        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, outer, test)
         return lambda x: value(kernel.psi, x), lambda x: jacobian(kernel.dpsi, x)
-    test = op._test_weights(r, outer)
-    return (lambda x: op.apply(kernel.kappa1, kernel.kappa2, x).reshape(op.mesh.n, -1) @ test,
-            lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, r, outer))
+    return (lambda x: op.apply(kernel.kappa1, kernel.kappa2, x).reshape(mesh.n, -1) @ test,
+            lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, test))
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):

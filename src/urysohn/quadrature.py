@@ -190,8 +190,8 @@ class SplitOperator:
     (s on a mesh point) carries zero weights.  Built once and kept
     read-only: the node grid ``t`` (n, p) with the panel weights ``w``, the
     split cell ``cells`` of each s, its sub-panel nodes ``t_sub`` (S, 2p)
-    and weights ``w_sub`` (first p columns on [t_j, s]), and on first use
-    the basis tables of both node sets for each order r of x.
+    and weights ``w_sub`` (first p columns on [t_j, s]), and on its first
+    read the basis table of either node set for each order r of x.
 
     The regular cells are reached through an even bisection of the cells into
     a binary tree.  At each node the targets in the right child see the left
@@ -221,15 +221,15 @@ class SplitOperator:
         self._nodes = ((self.t, grid_cells), (self.t_sub, cells[:, None]))
         self._tables, self._kept = {}, {}
 
-    def basis(self, r: int):
+    def basis(self, r: int, sub: bool):
         """``basis_table`` of order r at the clipped cell-local coordinates
-        of the node grid (n, p, r) and of the sub-panel nodes (S, 2p, r),
-        built on the first call for each r."""
+        of the node grid (n, p, r), or with ``sub`` of the sub-panel nodes
+        (S, 2p, r), built on its first read."""
         from .piecewise import basis_table  # piecewise imports this module
-        if r not in self._tables:
-            self._tables[r] = _frozen(*(basis_table(r, self.mesh.local(t, cells))
-                                        for t, cells in self._nodes))
-        return self._tables[r]
+        if (r, sub) not in self._tables:
+            t, cells = self._nodes[sub]
+            self._tables[r, sub] = _frozen(basis_table(r, self.mesh.local(t, cells)))[0]
+        return self._tables[r, sub]
 
     def _sample(self, x, sub: bool):
         """x at the node grid, or with ``sub`` at the sub-panel nodes; a pair
@@ -240,7 +240,7 @@ class SplitOperator:
             return np.stack([self._sample(y, sub) for y in x], axis=-1)
         t, cells = self._nodes[sub]
         if getattr(x, "mesh", None) == self.mesh:
-            return x.eval_on_cells(self.basis(x.r)[sub], cells)
+            return x.eval_on_cells(self.basis(x.r, sub), cells)
         return _sampled(x, t)
 
     @cached_property
@@ -376,20 +376,19 @@ class SplitOperator:
                 out[lev.targets] += (at_nodes @ kept.weights[0].T)[lev.block, kept.weights[1]]
         return out
 
-    def matrix(self, fn1, fn2, x, r: int, outer: GaussRule) -> np.ndarray:
+    def matrix(self, fn1, fn2, x, test: np.ndarray) -> np.ndarray:
         """Galerkin matrix of the split integral over the r orthonormal cell
-        basis functions phi: entry ((j, a), (k, b)) is the ``outer`` rule's
-        sum over its nodes s in cell j of phi_a(s) times the integral over
-        cell k of fn(s, t, x(t)) phi_b(t), fn1 left of s and fn2 right of
-        it.  Shape (n r, n r).
+        basis functions phi: entry ((j, a), (k, b)) is the sum over the m
+        points s in cell j of their ``test`` weights (m, r) for phi_a times
+        the integral over cell k of fn(s, t, x(t)) phi_b(t), fn1 left of s
+        and fn2 right of it.  Shape (n r, n r).
 
-        The points must be the outer rule's nodes in every cell, cell by
+        The points must be the test weights' m nodes in every cell, cell by
         cell.  A far-field block enters as a rank-Q product: the test sums
         of its weights times fn at its nodes against the basis on its source
         cells.  Only the diagonal blocks use the sub-panels.
         """
-        n, m = self.mesh.n, outer.p
-        test = self._test_weights(r, outer)
+        n, (m, r) = self.mesh.n, test.shape
         own = self._diagonal(self._sub_panels(fn1, fn2, x), test)
         # one spare cell past the last takes the padding of smaller blocks
         mat = np.zeros((n + 1, r, n + 1, r))
@@ -411,18 +410,8 @@ class SplitOperator:
         """The split cells' Galerkin blocks (n, r, r) from fn at the sub-panel nodes (S, 2p)."""
         n, (m, r) = self.mesh.n, test.shape
         own = np.einsum("sk,skb->sb", sub * self.w_sub,
-                        (1.0 / math.sqrt(self.mesh.h)) * self.basis(r)[1])
+                        (1.0 / math.sqrt(self.mesh.h)) * self.basis(r, sub=True))
         return test.T @ own.reshape(n, m, r)
-
-    def _test_weights(self, r: int, outer: GaussRule) -> np.ndarray:
-        """h (1/sqrt h) w phi (m, r): values at the outer rule's nodes in a cell to
-        Galerkin coefficients, for points that are those nodes in every cell."""
-        from .piecewise import basis_table  # piecewise imports this module
-        if not np.array_equal(self.s, self.mesh.grid(outer.nodes).ravel()):
-            raise ValueError(f"Galerkin sums need the same {outer.p} nodes in every cell as "
-                             "their points: those of their outer rule")
-        h = self.mesh.h
-        return h * (1.0 / math.sqrt(h)) * outer.weights[:, None] * basis_table(r, outer.nodes)
 
     def _factors(self, a1, b1, a2, b2):
         """a1 and a2 at the points s, b1 and b2 at the node grid and at the
@@ -450,11 +439,12 @@ class SplitOperator:
 
         return integrate
 
-    def galerkin(self, a1, b1, a2, b2, r: int, outer: GaussRule):
+    def galerkin(self, a1, b1, a2, b2, outer: GaussRule, test: np.ndarray):
         """``(value, jacobian)`` by product integration, for points that are
-        the outer rule's nodes in every cell: ``value(g, x)`` the Galerkin
-        coefficients of ``separable``'s integral, ``jacobian(dg, x)`` their
-        exact Jacobian in the coefficients of x, of order r.  g is read on
+        the outer rule's nodes in every cell and ``test`` (m, r) its test
+        weights: ``value(g, x)`` the Galerkin coefficients of ``separable``'s
+        integral, ``jacobian(dg, x)`` their exact Jacobian in the
+        coefficients of x.  g is read on
         the node grid, interpolated on each cell by the Lagrange basis L_l of
         its p nodes: the split cell enters as sum_l g_jl M[j, l, i], M the
         sub-panel sums of the test weights times a b L_l, the other cells as
@@ -464,8 +454,7 @@ class SplitOperator:
         two Legendre coefficients above _RESOLVED times the largest over all
         cells, the split cells take g (or dg) on the sub-panels instead."""
         from .piecewise import basis_table  # piecewise imports this module
-        n, m, p, h = self.mesh.n, outer.p, self.rule.p, self.mesh.h
-        test = self._test_weights(r, outer)  # (m, r)
+        n, (m, r), p, h = self.mesh.n, test.shape, self.rule.p, self.mesh.h
         a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
         tau, sigma = self.rule.nodes, outer.nodes[:, None]
         local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)  # (m, 2p)

@@ -23,8 +23,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
-from .piecewise import PiecewisePoly, UniformMesh, _projector, basis_table
-from .quadrature import MAX_POINTS, GaussRule, SplitOperator, _count, _sampled, gauss_rule
+from .piecewise import PiecewisePoly, UniformMesh, _order, _projector, basis_table
+from .quadrature import MAX_POINTS, GaussRule, _count, _sampled, gauss_rule
 from .problems import UrysohnProblem, _bind_galerkin, _like, apply_K
 
 __all__ = [
@@ -135,13 +135,12 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     """
     opts = opts if opts is not None else SolveOptions()
     outer, nodes, to_coeffs = _projector(mesh, r)
-    op = SplitOperator(mesh, gauss_rule(opts.quad_points), nodes)
     kern = prob.kernel
     if opts.method == "newton":
         kern.require_first_derivative()
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
-    galerkin, matrix = _bind_galerkin(kern, op, r, outer)
+    galerkin, matrix = _bind_galerkin(kern, mesh, r, outer, gauss_rule(opts.quad_points))
 
     def as_poly(coeffs):
         return PiecewisePoly(mesh, r, coeffs)
@@ -243,8 +242,7 @@ def assemble_linearized(prob: UrysohnProblem, x: PiecewisePoly, mesh: UniformMes
     else the split panels).
     """
     prob.kernel.require_first_derivative()
-    op = SplitOperator(mesh, rule, mesh.grid(rule.nodes))
-    return _bind_galerkin(prob.kernel, op, r, rule)[1](x)
+    return _bind_galerkin(prob.kernel, mesh, r, rule, rule)[1](x)
 
 
 def iterated_eval(prob: UrysohnProblem, sol: GalerkinSolution, s, rule: GaussRule):
@@ -273,7 +271,7 @@ def richardson(coarse: PartitionValues, fine: PartitionValues, r: int) -> Partit
         raise MeshMismatchError(
             f"fine mesh must refine the coarse one: {fine.mesh.n} != 2 * {coarse.mesh.n}"
         )
-    return PartitionValues(coarse.mesh, _extrapolate(coarse.values, fine.values[::2], r))
+    return PartitionValues(coarse.mesh, _extrapolate(coarse.values, fine.values[::2], _order(r)))
 
 
 def _extrapolate(coarse: np.ndarray, fine: np.ndarray, r: int) -> np.ndarray:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, SingularLinearizationError
-from .piecewise import make_mesh
+from .piecewise import _order, make_mesh
 from .problems import get_problem
 from .quadrature import MAX_POINTS, _count, gauss_rule
 from .solver import SolveOptions, _extrapolate, iterated_eval, solve_galerkin, solve_paper_discrete
@@ -214,6 +214,7 @@ def zeta_estimate(errors: Sequence[np.ndarray], hs: Sequence[float], r: int):
     stabilization metric max|zeta_n - zeta_2n| / max|zeta_2n| between
     consecutive levels.  A stabilizing zeta is the observable footprint of
     an h^(2r) leading error term."""
+    r = _order(r)
     if len(errors) < 2:
         raise ValueError("need at least two levels")
     if len(errors) != len(hs):

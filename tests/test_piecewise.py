@@ -240,12 +240,25 @@ def test_projection_rejects_bad_order():
         u.project(np.exp, u.make_mesh(2), 0)
 
 
-@pytest.mark.parametrize("r", [2.5, 2.0, True, "2", 0])
+# the public entry points that take an order r but build no PiecewisePoly
+ORDER_ENTRY_POINTS = {
+    "basis_table": lambda r: u.basis_table(r, np.array([0.25, 0.5])),
+    "richardson": lambda r: u.richardson(
+        *(u.PartitionValues(u.make_mesh(n), np.ones(n + 1)) for n in (2, 4)), r),
+    "zeta_estimate": lambda r: u.zeta_estimate([np.ones(3), np.ones(3)], [0.5, 0.25], r),
+    "assemble_linearized": lambda r: u.assemble_linearized(
+        u.get_problem("zero-kernel"), u.project(np.exp, u.make_mesh(2), 2), u.make_mesh(2), r,
+        u.gauss_rule(10)),
+}
+
+
+@pytest.mark.parametrize("r", [2.5, 2.0, True, "2", 0, -1])
 @pytest.mark.parametrize("build", [
     lambda r: u.project(np.exp, u.make_mesh(4), r),
     lambda r: u.solve_galerkin(u.get_problem("zero-kernel"), u.make_mesh(4), r),
     lambda r: u.PiecewisePoly(u.make_mesh(4), r, np.zeros((4, 1))),
-], ids=["project", "solve_galerkin", "PiecewisePoly"])
+    *ORDER_ENTRY_POINTS.values(),
+], ids=["project", "solve_galerkin", "PiecewisePoly", *ORDER_ENTRY_POINTS])
 def test_orders_are_integers_of_at_least_one(build, r):
     with pytest.raises(ValueError, match="polynomial order"):
         build(r)
@@ -256,6 +269,11 @@ def test_numpy_integer_orders_are_stored_as_int():
     assert type(u.PiecewisePoly(mesh, r, np.zeros((4, 2))).r) is int
     assert type(u.project(np.exp, mesh, r).r) is int
     assert type(u.solve_galerkin(u.get_problem("zero-kernel"), mesh, r).x_g.r) is int
+
+
+@pytest.mark.parametrize("entry", ORDER_ENTRY_POINTS.values(), ids=ORDER_ENTRY_POINTS.keys())
+def test_entry_points_take_a_numpy_integer_order(entry):
+    entry(np.int64(2))
 
 
 def test_projection_idempotent_on_random_members(rng):

@@ -6,7 +6,7 @@ from numpy.polynomial.legendre import legval
 from scipy.integrate import quad
 
 import urysohn as u
-from urysohn.piecewise import _projector
+from urysohn.piecewise import _projector, _test_weights
 from urysohn.cli import main
 from urysohn.quadrature import _CHUNK, SplitOperator, _chebyshev, _mapped
 from urysohn.problems import _bind_galerkin, _bind_integral
@@ -260,9 +260,7 @@ def dense_matrix(fn1, fn2, x, mesh, r, rule, outer=None):
 def other_points_matrix(prob, x, mesh, r, rule, outer):
     """The Newton matrix as a solve assembles it: on an operator of the
     inner rule whose points are the outer rule's nodes in every cell."""
-    kern = prob.kernel
-    op = SplitOperator(mesh, rule, mesh.grid(outer.nodes))
-    return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
+    return _bind_galerkin(prob.kernel, mesh, r, outer, rule)[1](x)
 
 
 def tree_points(mesh):
@@ -387,25 +385,6 @@ def test_newton_matrix_on_points_of_another_rule(gamma, n, r, p, m):
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
 
 
-def test_matrix_rejects_points_that_are_not_the_same_nodes_in_every_cell():
-    """Also 3 nodes that are the same in every cell but not the outer
-    rule's."""
-    mesh, rule, outer, r = u.make_mesh(4), u.gauss_rule(5), u.gauss_rule(3), 2
-    nodes = mesh.grid(outer.nodes).ravel()
-    moved = nodes.copy()
-    moved[7] += 1e-3  # one node of cell 2 off its place
-    other = mesh.grid(np.array([0.1, 0.5, 0.9])).ravel()
-    fn = lambda s, t, x: s * t * x
-
-    def matrix(points):
-        return SplitOperator(mesh, rule, points).matrix(fn, fn, np.exp, r, outer)
-
-    for points in (moved, nodes[::-1], nodes[:-1], np.append(nodes, 0.5), other):
-        with pytest.raises(ValueError, match="same 3 nodes"):
-            matrix(points)
-    assert matrix(nodes).shape == (8, 8)
-
-
 @pytest.mark.parametrize("kind", ["green", "hammerstein"])
 def test_kprime_samples_v_once_at_the_grid_and_the_sub_panels(kind):
     """K'v calls v at the n p grid nodes and the 2 p S sub-panel nodes, once
@@ -454,7 +433,7 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
     integral = _bind_integral(kern, op)
 
     def matrix(x, op=op):
-        return op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
+        return op.matrix(kern.du_kappa1, kern.du_kappa2, x, _test_weights(mesh, r, outer))
 
     other = u.make_mesh(mesh.n + 3)
     iterates = [zero_in_the_middle(u.project(np.exp, mesh, r)), u.project(np.cos, mesh, r),
@@ -470,7 +449,9 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
         assert np.array_equal(integral(x), _bind_integral(kern, fresh)(x))
         assert np.array_equal(integral(x, v), _bind_integral(kern, fresh)(x, v))
         assert np.array_equal(matrix(x), matrix(x, fresh))
-    assert not any(table.flags.writeable for table in op.basis(r) + op.basis(r % 3 + 1))
+    tables = {(order, sub) for order in (r, r % 3 + 1) for sub in (False, True)}
+    assert op._tables.keys() == tables
+    assert not any(op.basis(*key).flags.writeable for key in tables)
 
 
 # --- Galerkin sums of a Hammerstein kernel by product integration --------------
@@ -486,8 +467,9 @@ def solve_operator(kern, n, r):
     mesh = u.make_mesh(n)
     outer, nodes, to_coeffs = _projector(mesh, r)
     op = SplitOperator(mesh, u.gauss_rule(10), nodes)
+    test = _test_weights(mesh, r, outer)
     direct = (lambda x: to_coeffs(_bind_integral(kern, op)(x)),
-              lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer))
+              lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, test))
 
     def unreachable(*args):
         raise AssertionError("took the direct path")
@@ -499,10 +481,26 @@ def solve_operator(kern, n, r):
             return fn(t, x)
         return checked
 
-    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, r, outer)
+    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, outer, test)
     product = (lambda x: value(on_the_grid(kern.psi), x),
                lambda x: jacobian(on_the_grid(kern.dpsi), x))
-    return mesh, direct, _bind_galerkin(kern, op, r, outer), product
+    return mesh, direct, _bind_galerkin(kern, mesh, r, outer, op.rule), product
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_solve_builds_the_sub_panel_table_only_when_it_reads_it(monkeypatch, method):
+    """Solves whose psi resolves on every cell read x_g on the node grid
+    alone and never ask for the sub-panel basis table; an r = 4 solve on
+    4 cells, whose split cells fall back on the sub-panels, does."""
+    asked, basis = [], SplitOperator.basis
+    monkeypatch.setattr(SplitOperator, "basis",
+                        lambda self, r, sub: asked.append(sub) or basis(self, r, sub))
+    prob = u.get_problem("paper-hammerstein")
+    for r in (1, 2, 3):
+        u.solve_galerkin(prob, u.make_mesh(16), r, u.SolveOptions(method=method))
+    assert asked and not any(asked)
+    u.solve_galerkin(prob, u.make_mesh(4), 4, u.SolveOptions(method=method))
+    assert any(asked)
 
 
 @pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
@@ -643,7 +641,7 @@ def test_operator_keeps_a_bounded_geometry_per_level_and_q():
 
     def calls(x):
         op.apply(kern.kappa1, kern.kappa2, x)
-        op.matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer)
+        op.matrix(kern.du_kappa1, kern.du_kappa2, x, _test_weights(mesh, r, outer))
 
     x = u.project(lambda t: 1.0 + np.sin(np.pi * t), mesh, r)
     calls(x)
@@ -719,10 +717,11 @@ def test_unresolved_hammerstein_newton_matrix_stays_off_the_cell_tree(monkeypatc
     mesh, rule = u.make_mesh(n), u.gauss_rule(10)
     outer, nodes, _ = _projector(mesh, r)
     x = u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, r)
-    oracles = (SplitOperator(mesh, rule, nodes).matrix(kern.du_kappa1, kern.du_kappa2, x, r, outer),
+    oracles = (SplitOperator(mesh, rule, nodes).matrix(kern.du_kappa1, kern.du_kappa2, x,
+                                                       _test_weights(mesh, r, outer)),
                dense_matrix(kern.du_kappa1, kern.du_kappa2, x, mesh, r, rule, outer))
     monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
-    _, jacobian = _bind_galerkin(kern, SplitOperator(mesh, rule, nodes), r, outer)
+    _, jacobian = _bind_galerkin(kern, mesh, r, outer, rule)
     points.clear()
     got = jacobian(x)
     assert sum(points) == n * rule.p + 2 * rule.p * nodes.size

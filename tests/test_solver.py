@@ -15,6 +15,7 @@ from scipy.optimize import fsolve
 
 import urysohn as u
 from urysohn.errors import DivergenceError, MeshMismatchError, SingularLinearizationError
+from urysohn.piecewise import _projector
 from urysohn.quadrature import SplitOperator
 from urysohn.solver import _solve_newton_step
 
@@ -61,12 +62,22 @@ def test_picard_newton_and_direct_solve_agree(linear_green):
     assert np.max(np.abs(picard.x_g.coeffs - direct)) < 1e-10
 
 
+def green_hammerstein():
+    """paper-hammerstein's pieces as a plain GreenKernel, whose Galerkin sums
+    go through the split panels and the cell tree."""
+    kern = u.get_problem("paper-hammerstein").kernel
+    return u.UrysohnProblem(u.GreenKernel(kern.kappa1, kern.kappa2, kern.du_kappa1,
+                                          kern.du_kappa2), f=lambda s: 1.0 + s * s)
+
+
 @pytest.mark.parametrize("r", [1, 2, 3])
-@pytest.mark.parametrize("problem_id", u.PROBLEM_IDS)
+@pytest.mark.parametrize("problem_id", u.PROBLEM_IDS + ("green-kernel",))
 def test_assembled_matrix_is_the_one_newton_factors(monkeypatch, problem_id, r):
     """I - assemble_linearized at each Newton iterate is, bit for bit, the
-    matrix that step factors; neither enters the cell tree."""
-    prob, mesh = u.get_problem(problem_id), u.make_mesh(16)
+    matrix that step factors, for the built-in Hammerstein problems (neither
+    enters the cell tree) and for a GreenKernel."""
+    mesh = u.make_mesh(16)
+    prob = green_hammerstein() if problem_id == "green-kernel" else u.get_problem(problem_id)
     steps = []
 
     def spy(jac, rhs):
@@ -77,7 +88,8 @@ def test_assembled_matrix_is_the_one_newton_factors(monkeypatch, problem_id, r):
         raise AssertionError("entered the cell tree")
 
     monkeypatch.setattr(u.solver, "_solve_newton_step", spy)
-    monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
+    if problem_id != "green-kernel":
+        monkeypatch.setattr(SplitOperator, "_far_field", no_tree)
     u.solve_galerkin(prob, mesh, r, u.SolveOptions(method="newton"))
     x = u.project(prob.f, mesh, r)  # the first iterate
     assert steps
@@ -90,9 +102,7 @@ def test_assembled_matrix_is_the_one_newton_factors(monkeypatch, problem_id, r):
 def test_newton_with_its_own_inner_rule_agrees_with_picard():
     # quad_points unlike the projection rule: the Newton matrix is assembled
     # on the solve's one operator, at the projection nodes
-    kern = u.get_problem("paper-hammerstein").kernel
-    prob = u.UrysohnProblem(u.GreenKernel(kern.kappa1, kern.kappa2, kern.du_kappa1,
-                                          kern.du_kappa2), f=lambda s: 1.0 + s * s)
+    prob = green_hammerstein()
     opts = dict(tol=1e-13, quad_points=7)
     picard = u.solve_galerkin(prob, u.make_mesh(12), 2, u.SolveOptions(method="picard", **opts))
     newton = u.solve_galerkin(prob, u.make_mesh(12), 2, u.SolveOptions(method="newton", **opts))
@@ -103,15 +113,19 @@ def test_newton_with_its_own_inner_rule_agrees_with_picard():
 @pytest.mark.parametrize("r", [2, 12])
 def test_solve_builds_one_operator(monkeypatch, r):
     # the applies and the Newton matrix share one operator (one cell tree),
-    # also when the inner rule is not the projection rule
+    # also when the inner rule is not the projection rule; its points are
+    # the projection rule's nodes in every cell
     built = []
     init = SplitOperator.__init__
     monkeypatch.setattr(SplitOperator, "__init__",
-                        lambda self, *args: built.append(init(self, *args)))
+                        lambda self, *args: built.append(init(self, *args) or self))
     prob = u.get_problem("paper-hammerstein", rhs_mode="paper")  # f needs no operator
-    sol = u.solve_galerkin(prob, u.make_mesh(4), r,
-                           u.SolveOptions(method="newton", quad_points=7))
+    mesh = u.make_mesh(4)
+    sol = u.solve_galerkin(prob, mesh, r, u.SolveOptions(method="newton", quad_points=7))
     assert sol.iterations > 1 and len(built) == 1
+    outer = _projector(mesh, r)[0]
+    assert outer.p != 7 and built[0].rule.p == 7
+    assert np.array_equal(built[0].s, mesh.grid(outer.nodes).ravel())
 
 
 def test_solve_samples_the_green_factors_once():
