@@ -88,8 +88,10 @@ def _study_config(args) -> StudyConfig:
 
 
 def _check_out(path) -> None:
-    """Fail before any solve when a report cannot be written to path: it
-    is a directory, or its directory does not exist."""
+    """Fail before any solve when a report cannot be written: path is a
+    directory or its directory does not exist, or without a path stdout is closed."""
+    if not path and sys.stdout is None:
+        raise ConfigError("cannot write the report to stdout: it is closed")
     if path and os.path.isdir(path):
         raise ConfigError(f"cannot write {path}: it is a directory")
     if path and not os.path.isdir(os.path.dirname(path) or "."):

@@ -128,19 +128,17 @@ def _times(fn):
     return lambda *args: fn(*args[:-1], args[-1][..., 0]) * args[-1][..., 1]
 
 
-def _bind_integral(kernel, op: SplitOperator) -> Callable:
-    """The function (x, v=None) -> at every point s of ``op``, K(x), the
-    integral over t of kappa(s, t, x(t)), or with v given K'(x)v, that of
-    du kappa(s, t, x(t)) v(t).  A HammersteinKernel is integrated by prefix
-    sums, with its Green's factors sampled here once, any other kernel on
-    the split panels.  v is sampled where x is, once per call."""
+def _integral(kernel, op: SplitOperator, x, v=None) -> np.ndarray:
+    """At every point s of ``op``, K(x), the integral over t of kappa(s, t,
+    x(t)), or with v given K'(x)v, that of du kappa(s, t, x(t)) v(t), in one
+    call: by prefix sums for a HammersteinKernel, else on the split panels.
+    v is sampled where x is, once."""
     if isinstance(kernel, HammersteinKernel):
-        separable = op.separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2)
-        return lambda x, v=None: (separable(kernel.psi, x) if v is None
-                                  else separable(_times(kernel.dpsi), (x, v)))
-    return lambda x, v=None: (
-        op.apply(kernel.kappa1, kernel.kappa2, x) if v is None
-        else op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v)))
+        g, u = (kernel.psi, x) if v is None else (_times(kernel.dpsi), (x, v))
+        return op.separable(kernel.a1, kernel.b1, kernel.a2, kernel.b2, g, u)
+    if v is None:
+        return op.apply(kernel.kappa1, kernel.kappa2, x)
+    return op.apply(_times(kernel.du_kappa1), _times(kernel.du_kappa2), (x, v))
 
 
 def _bind_galerkin(kernel, mesh: UniformMesh, r: int, outer: GaussRule, inner: GaussRule):
@@ -151,28 +149,28 @@ def _bind_galerkin(kernel, mesh: UniformMesh, r: int, outer: GaussRule, inner: G
     test = _test_weights(mesh, r, outer)
     op = SplitOperator(mesh, inner, mesh.grid(outer.nodes))
     if isinstance(kernel, HammersteinKernel):
-        value, jacobian = op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, outer, test)
-        return lambda x: value(kernel.psi, x), lambda x: jacobian(kernel.dpsi, x)
+        return op.galerkin(kernel.a1, kernel.b1, kernel.a2, kernel.b2, kernel.psi, kernel.dpsi,
+                           outer, test)
     return (lambda x: op.apply(kernel.kappa1, kernel.kappa2, x).reshape(mesh.n, -1) @ test,
             lambda x: op.matrix(kernel.du_kappa1, kernel.du_kappa2, x, test))
 
 
 def apply_K(prob: UrysohnProblem, x, s, rule: GaussRule, mesh: UniformMesh):
     """The integral operator: integral_0^1 kappa(s, t, x(t)) dt."""
-    return _like(s, _bind_integral(prob.kernel, SplitOperator(mesh, rule, s))(x))
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x))
 
 
 def apply_Kprime(prob: UrysohnProblem, x, v, s, rule: GaussRule, mesh: UniformMesh):
     """Derivative of the operator at x applied to v:
     integral of d kappa/du (s, t, x(t)) v(t) dt."""
     prob.kernel.require_first_derivative()
-    return _like(s, _bind_integral(prob.kernel, SplitOperator(mesh, rule, s))(x, v))
+    return _like(s, _integral(prob.kernel, SplitOperator(mesh, rule, s), x, v))
 
 
 def manufactured_f(kernel, phi, s, rule: GaussRule, mesh: UniformMesh):
     """f(s) := phi(s) - integral kappa(s, t, phi(t)) dt, so that phi solves the
     problem exactly up to quadrature error."""
-    k_vals = _bind_integral(kernel, SplitOperator(mesh, rule, s))(phi)
+    k_vals = _integral(kernel, SplitOperator(mesh, rule, s), phi)
     return _like(s, _sampled(phi, s) - k_vals.reshape(np.shape(s)))
 
 

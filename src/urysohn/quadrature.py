@@ -191,7 +191,7 @@ class SplitOperator:
     read-only: the node grid ``t`` (n, p) with the panel weights ``w``, the
     split cell ``cells`` of each s, its sub-panel nodes ``t_sub`` (S, 2p)
     and weights ``w_sub`` (first p columns on [t_j, s]), and on its first
-    read the basis table of either node set for each order r of x.
+    read the ``basis`` table of each order r at either node set or the rule.
 
     The regular cells are reached through an even bisection of the cells into
     a binary tree.  At each node the targets in the right child see the left
@@ -221,14 +221,14 @@ class SplitOperator:
         self._nodes = ((self.t, grid_cells), (self.t_sub, cells[:, None]))
         self._tables, self._kept = {}, {}
 
-    def basis(self, r: int, sub: bool):
-        """``basis_table`` of order r at the clipped cell-local coordinates
-        of the node grid (n, p, r), or with ``sub`` of the sub-panel nodes
-        (S, 2p, r), built on its first read."""
+    def basis(self, r: int, sub: bool | None):
+        """``basis_table`` of order r at the rule's nodes (p, r) with ``sub``
+        None, else at the clipped cell-local coordinates of the node grid (n,
+        p, r) or with ``sub`` of the sub-panel nodes (S, 2p, r), built once."""
         from .piecewise import basis_table  # piecewise imports this module
         if (r, sub) not in self._tables:
-            t, cells = self._nodes[sub]
-            self._tables[r, sub] = _frozen(basis_table(r, self.mesh.local(t, cells)))[0]
+            tau = self.rule.nodes if sub is None else self.mesh.local(*self._nodes[sub])
+            self._tables[r, sub] = _frozen(basis_table(r, tau))[0]
         return self._tables[r, sub]
 
     def _sample(self, x, sub: bool):
@@ -295,12 +295,11 @@ class SplitOperator:
         targets or that does not resolve, kept None, at its targets (target i
         at node ``col[i]``) in chunks of p columns, or with r of the S/n
         points of a target cell."""
-        from .piecewise import basis_table  # piecewise imports this module
         p, q = self.rule.p, _FIRST_CHEBYSHEV
         x_reg = self._sample(x, sub=False)
         against, m = self.w, p
         if r is not None:
-            phi = 1.0 / math.sqrt(self.mesh.h) * basis_table(r, self.rule.nodes)  # (p, r)
+            phi = 1.0 / math.sqrt(self.mesh.h) * self.basis(r, None)  # (p, r)
             against, m = self.w[:, None] * phi, self.s.size // self.mesh.n
         for i, lev in enumerate(self._tree):
             def values_at(nodes, lev=lev):
@@ -420,40 +419,35 @@ class SplitOperator:
         return (_sampled(a1, self.s), _sampled(b1, self.t), _sampled(b1, self.t_sub[:, :p]),
                 _sampled(a2, self.s), _sampled(b2, self.t), _sampled(b2, self.t_sub[:, p:]))
 
-    def separable(self, a1, b1, a2, b2):
-        """The function (g, x) -> integral of a1(s) b1(t) g(t, x(t)) over
-        [0, s] plus a2(s) b2(t) g(t, x(t)) over [s, 1], at every s, by
-        prefix sums of the cell integrals of b1 g and b2 g (reversed); only
-        the two sub-panels depend on s.  The factors are sampled here, once;
-        a call reads g at n p + 2 p S points, with no (S, n, p) block."""
+    def separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:
+        """The integral of a1(s) b1(t) g(t, x(t)) over [0, s] plus a2(s)
+        b2(t) g(t, x(t)) over [s, 1], at every s, by prefix sums of the cell
+        integrals of b1 g and b2 g (reversed); only the two sub-panels
+        depend on s.  g is read at n p + 2 p S points, with no (S, n, p)
+        block."""
         p = self.rule.p
         a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
+        g_w = self.w * _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
+        g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
+        before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
+        left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
+        right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
+        return a1_s * left + a2_s * right
 
-        def integrate(g, x) -> np.ndarray:
-            g_w = self.w * _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
-            g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
-            before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
-            left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
-            right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
-            return a1_s * left + a2_s * right
-
-        return integrate
-
-    def galerkin(self, a1, b1, a2, b2, outer: GaussRule, test: np.ndarray):
+    def galerkin(self, a1, b1, a2, b2, psi, dpsi, outer: GaussRule, test: np.ndarray):
         """``(value, jacobian)`` by product integration, for points that are
         the outer rule's nodes in every cell and ``test`` (m, r) its test
-        weights: ``value(g, x)`` the Galerkin coefficients of ``separable``'s
-        integral, ``jacobian(dg, x)`` their exact Jacobian in the
-        coefficients of x.  g is read on
-        the node grid, interpolated on each cell by the Lagrange basis L_l of
-        its p nodes: the split cell enters as sum_l g_jl M[j, l, i], M the
-        sub-panel sums of the test weights times a b L_l, the other cells as
-        the prefix sums times the test sums of a1 and a2 (rank-one Jacobian
-        blocks).  Exact to roundoff for g of degree < p on every cell; where
-        g (or dg phi_b) is not finite or has, in some cell, one of its last
-        two Legendre coefficients above _RESOLVED times the largest over all
-        cells, the split cells take g (or dg) on the sub-panels instead."""
-        from .piecewise import basis_table  # piecewise imports this module
+        weights: ``value(x)`` the Galerkin coefficients of ``separable``'s
+        integral of g = psi, ``jacobian(x)`` their exact Jacobian in the
+        coefficients of x, from dpsi.  psi is read on the node grid and
+        interpolated on each cell by the Lagrange basis L_l of its p nodes:
+        the split cell enters as sum_l psi_jl M[j, l, i], M the sub-panel
+        sums of the test weights times a b L_l, the other cells as the prefix
+        sums times the test sums of a1 and a2 (rank-one Jacobian blocks).
+        Exact to roundoff for psi of degree < p on every cell; where psi (or
+        dpsi phi_b) is not finite or has, in some cell, one of its last two
+        Legendre coefficients above _RESOLVED times the largest over all
+        cells, the split cells take psi (or dpsi) on the sub-panels instead."""
         n, (m, r), p, h = self.mesh.n, test.shape, self.rule.p, self.mesh.h
         a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
         tau, sigma = self.rule.nodes, outer.nodes[:, None]
@@ -468,8 +462,8 @@ class SplitOperator:
         split = np.einsum("jkq,kql,ki->jli", own.reshape(n, m, 2 * p), lagrange, test,
                           optimize=True)  # M
         pa1, pa2 = a1_s.reshape(n, m) @ test, a2_s.reshape(n, m) @ test  # (n, r)
-        legendre = (self.rule.weights[:, None] * basis_table(p, tau)).T  # values to coefficients
-        phi = basis_table(r, tau) / math.sqrt(h)  # d x(t) / d c in every cell, (p, r)
+        legendre = (self.rule.weights[:, None] * self.basis(p, None)).T  # values to coefficients
+        phi = self.basis(r, None) / math.sqrt(h)  # d x(t) / d c in every cell, (p, r)
 
         def resolved(vals) -> bool:  # vals (n, p, k)
             with np.errstate(invalid="ignore"):
@@ -477,19 +471,19 @@ class SplitOperator:
             top = coeffs.max()
             return bool(np.isfinite(top)) and not np.any(coeffs[:, -2:] > _RESOLVED * top)
 
-        def value(g, x):
-            g_reg = _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
+        def value(x):
+            g_reg = _piece(psi, self.t.shape, self.t, self._sample(x, sub=False))
             g_w = g_reg * self.w
             before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
             own = (np.einsum("jl,jli->ji", g_reg, split) if resolved(g_reg[..., None]) else
-                   (ab() * self.w_sub * g(self.t_sub, self._sample(x, sub=True))).sum(1)
+                   (ab() * self.w_sub * psi(self.t_sub, self._sample(x, sub=True))).sum(1)
                    .reshape(n, m) @ test)
             return pa1 * before[:-1, None] + pa2 * after[1:, None] + own
 
-        def jacobian(dg, x):
-            d_phi = _piece(dg, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
+        def jacobian(x):
+            d_phi = _piece(dpsi, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
             own = (np.einsum("jli,jlb->jib", split, d_phi) if resolved(d_phi)
-                   else self._diagonal(ab() * dg(self.t_sub, self._sample(x, sub=True)), test))
+                   else self._diagonal(ab() * dpsi(self.t_sub, self._sample(x, sub=True)), test))
             q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
             mat = pa2[:, :, None, None] * q2  # source cell right of the target
             np.multiply(pa1[:, :, None, None], q1, out=mat,

@@ -430,3 +430,28 @@ def test_closed_stdout_exits_3_with_one_line(tmp_path):
         os.close(write)
     assert done.returncode == 3
     assert one_config_error(done.stderr) and "cannot write" in done.stderr, done.stderr
+
+
+@pytest.mark.parametrize("command, stdout", [
+    ("solve", "closed"), ("study", "closed"), ("solve", "a pipe with no reader"),
+])
+def test_python_m_urysohn_without_a_stdout_exits_3_with_one_line(tmp_path, command, stdout):
+    """``python -m urysohn`` whose stdout is closed when it starts (``>&-``:
+    no sys.stdout, refused before any solve) or is a pipe whose reader is
+    gone (the write fails): exit 3, one config error line, no traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    n = {"solve": "2", "study": "2,4"}[command]
+    argv = [sys.executable, "-m", "urysohn", command, "--problem", "zero-kernel", "--n", n]
+    if stdout == "closed":
+        argv = ["sh", "-c", 'exec "$0" "$@" >&-', *argv]
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(argv, cwd=tmp_path, env=env, stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert done.returncode == 3, done.stderr
+    assert one_config_error(done.stderr), done.stderr
+    assert "cannot write the report to stdout" in done.stderr

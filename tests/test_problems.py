@@ -9,7 +9,7 @@ from scipy.integrate import quad
 
 import urysohn as u
 from urysohn.errors import ConfigError, MissingDerivativeError
-from urysohn.problems import _bind_integral
+from urysohn.problems import _integral
 from urysohn.quadrature import SplitOperator
 
 GAMMA = np.sqrt(12.0)
@@ -274,7 +274,7 @@ def test_prefix_sum_apply_memory_is_flat(hammerstein):
     nodes = mesh.grid(rule.nodes).ravel()
     tracemalloc.start()
     try:
-        vals = _bind_integral(hammerstein.kernel, SplitOperator(mesh, rule, nodes))(x)
+        vals = _integral(hammerstein.kernel, SplitOperator(mesh, rule, nodes), x)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

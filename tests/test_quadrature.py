@@ -9,7 +9,7 @@ import urysohn as u
 from urysohn.piecewise import _projector, _test_weights
 from urysohn.cli import main
 from urysohn.quadrature import _CHUNK, SplitOperator, _chebyshev, _mapped
-from urysohn.problems import _bind_galerkin, _bind_integral
+from urysohn.problems import _bind_galerkin, _integral
 
 GAMMA = np.sqrt(12.0)
 
@@ -430,7 +430,6 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
     rule, outer = u.gauss_rule(7), u.gauss_rule(10)
     points = mesh.grid(outer.nodes)
     op = SplitOperator(mesh, rule, points)
-    integral = _bind_integral(kern, op)
 
     def matrix(x, op=op):
         return op.matrix(kern.du_kappa1, kern.du_kappa2, x, _test_weights(mesh, r, outer))
@@ -446,10 +445,10 @@ def test_bound_operator_gives_the_bytes_of_a_fresh_one(kind, r):
         assert top.count.max() > outer.p * (_CHUNK // (top.cells.size * outer.p * rule.p))
     for x in iterates:
         fresh = SplitOperator(mesh, rule, points)
-        assert np.array_equal(integral(x), _bind_integral(kern, fresh)(x))
-        assert np.array_equal(integral(x, v), _bind_integral(kern, fresh)(x, v))
+        assert np.array_equal(_integral(kern, op, x), _integral(kern, fresh, x))
+        assert np.array_equal(_integral(kern, op, x, v), _integral(kern, fresh, x, v))
         assert np.array_equal(matrix(x), matrix(x, fresh))
-    tables = {(order, sub) for order in (r, r % 3 + 1) for sub in (False, True)}
+    tables = {(order, sub) for order in (r, r % 3 + 1) for sub in (False, True)} | {(r, None)}
     assert op._tables.keys() == tables
     assert not any(op.basis(*key).flags.writeable for key in tables)
 
@@ -468,7 +467,7 @@ def solve_operator(kern, n, r):
     outer, nodes, to_coeffs = _projector(mesh, r)
     op = SplitOperator(mesh, u.gauss_rule(10), nodes)
     test = _test_weights(mesh, r, outer)
-    direct = (lambda x: to_coeffs(_bind_integral(kern, op)(x)),
+    direct = (lambda x: to_coeffs(_integral(kern, op, x)),
               lambda x: op.matrix(kern.du_kappa1, kern.du_kappa2, x, test))
 
     def unreachable(*args):
@@ -481,9 +480,8 @@ def solve_operator(kern, n, r):
             return fn(t, x)
         return checked
 
-    value, jacobian = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, outer, test)
-    product = (lambda x: value(on_the_grid(kern.psi), x),
-               lambda x: jacobian(on_the_grid(kern.dpsi), x))
+    product = op.galerkin(kern.a1, kern.b1, kern.a2, kern.b2, on_the_grid(kern.psi),
+                          on_the_grid(kern.dpsi), outer, test)
     return mesh, direct, _bind_galerkin(kern, mesh, r, outer, op.rule), product
 
 
@@ -501,6 +499,22 @@ def test_solve_builds_the_sub_panel_table_only_when_it_reads_it(monkeypatch, met
     assert asked and not any(asked)
     u.solve_galerkin(prob, u.make_mesh(4), 4, u.SolveOptions(method=method))
     assert any(asked)
+
+
+@pytest.mark.parametrize("method, tables", [("newton", 1), ("picard", 0)])
+def test_a_green_kernel_solve_builds_its_column_basis_once(monkeypatch, method, tables):
+    """A Newton solve of the bench kernel reads the basis at the inner
+    rule's nodes, the column basis of every Newton matrix, from one table;
+    a Picard solve builds no Newton matrix and never asks for it.  The
+    7-point inner rule tells these tables apart from the projection rule's."""
+    calls, basis_table = [], u.piecewise.basis_table
+    monkeypatch.setattr(u.piecewise, "basis_table",
+                        lambda r, tau: calls.append(np.asarray(tau)) or basis_table(r, tau))
+    kern, phi = urysohn_kernel(GAMMA), lambda t: 1.0 + np.sin(np.pi * t)
+    prob = u.UrysohnProblem(kern, u.manufactured_rhs(kern, phi), exact=phi)
+    sol = u.solve_galerkin(prob, u.make_mesh(16), 2, u.SolveOptions(method=method, quad_points=7))
+    assert sol.iterations > 1
+    assert sum(np.array_equal(tau, u.gauss_rule(7).nodes) for tau in calls) == tables
 
 
 @pytest.mark.parametrize("gamma", [0.5, np.sqrt(12.0), 10.0, 40.0])
