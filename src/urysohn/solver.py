@@ -148,64 +148,56 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     def value(coeffs):
         return galerkin(as_poly(coeffs)) + f_coeffs
 
-    c, iterations, update = _iterate(value, lambda coeffs: matrix(as_poly(coeffs)), f_coeffs,
-                                     opts, 1.0, as_poly)
-    residual_poly = as_poly(c - value(c))
-    return GalerkinSolution(
-        x_g=as_poly(c),
-        iterations=iterations,
-        final_update=update,
-        final_residual=_sup_on_rule(residual_poly, outer),
-    )
+    return _iterate(value, lambda coeffs: matrix(as_poly(coeffs)), f_coeffs, opts, 1.0, as_poly,
+                    lambda c: _sup_on_rule(as_poly(c - value(c)), outer), "galerkin")
 
 
-@np.errstate(all="ignore")
-def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly):
-    """The one Picard/Newton loop for the fixed point c = value(c).
+def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly, residual,
+             scheme: str) -> GalerkinSolution:
+    """The one Picard/Newton loop for the fixed point c = value(c), and the
+    one place a solve ends.
 
     Picard takes c <- value(c); Newton solves (I - jacobian(c)) delta =
     value(c) - c.  The update is the sup of the change times ``scale``.
-    Float warnings are off: an overflow ends in a non-finite update here.
-    Returns ``(c, iterations, update)``; every DivergenceError carries
-    ``as_poly`` of the last iterate it accepted.
+    Float warnings are off in the loop only: an overflow ends in a
+    non-finite update, and ``residual(c)`` of the returned solution runs
+    with them on.  Every DivergenceError carries ``as_poly`` of the last
+    iterate it accepted and the last update.
     """
     c, updates = c0, []
-    for iteration in range(1, opts.max_iter + 1):
-        if opts.method == "picard":
-            c_next = value(c)
+
+    def stop(message):  # c and update as they stand when it is called
+        return DivergenceError(message, last_iterate=as_poly(c), update_norm=update)
+
+    with np.errstate(all="ignore"):
+        for iteration in range(1, opts.max_iter + 1):
+            if opts.method == "picard":
+                c_next = value(c)
+            else:
+                resid = c - value(c)
+                jac = np.eye(c.size) - jacobian(c)
+                c_next = c + _solve_newton_step(jac, -resid.ravel()).reshape(c.shape)
+            update = scale * float(np.max(np.abs(c_next - c)))
+            if not math.isfinite(update):
+                raise stop(f"non-finite update in iteration {iteration} (update {update})")
+            updates.append(update)
+            if update > _GROWTH_LIMIT * updates[0]:
+                raise stop(f"update grew to {update:.3e} in iteration {iteration}, more than "
+                           f"{_GROWTH_LIMIT:.0e} times the first update {updates[0]:.3e}")
+            c = c_next
+            if update <= opts.tol:
+                break
+            if _STALL_WINDOW < iteration < opts.max_iter:
+                rate = update / updates[-1 - _STALL_WINDOW]
+                left = (opts.max_iter - iteration) / _STALL_WINDOW
+                if rate <= 1.0 and update * rate ** left > opts.tol:
+                    raise stop(
+                        f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
+                        f"over the last {_STALL_WINDOW} iterations ({rate:.3g}) it cannot reach "
+                        f"tol {opts.tol:.1e} within max_iter {opts.max_iter}")
         else:
-            resid = c - value(c)
-            jac = np.eye(c.size) - jacobian(c)
-            c_next = c + _solve_newton_step(jac, -resid.ravel()).reshape(c.shape)
-        update = scale * float(np.max(np.abs(c_next - c)))
-        if not math.isfinite(update):
-            raise DivergenceError(f"non-finite update in iteration {iteration} (update {update})",
-                                  last_iterate=as_poly(c), update_norm=update)
-        updates.append(update)
-        if update > _GROWTH_LIMIT * updates[0]:
-            raise DivergenceError(
-                f"update grew to {update:.3e} in iteration {iteration}, more than "
-                f"{_GROWTH_LIMIT:.0e} times the first update {updates[0]:.3e}",
-                last_iterate=as_poly(c), update_norm=update,
-            )
-        c = c_next
-        if update <= opts.tol:
-            return c, iteration, update
-        if _STALL_WINDOW < iteration < opts.max_iter:
-            rate = update / updates[-1 - _STALL_WINDOW]
-            left = (opts.max_iter - iteration) / _STALL_WINDOW
-            if rate <= 1.0 and update * rate ** left > opts.tol:
-                raise DivergenceError(
-                    f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
-                    f"over the last {_STALL_WINDOW} iterations ({rate:.3g}) it cannot reach "
-                    f"tol {opts.tol:.1e} within max_iter {opts.max_iter}",
-                    last_iterate=as_poly(c), update_norm=update,
-                )
-    raise DivergenceError(
-        f"no convergence after {opts.max_iter} iterations (last update {updates[-1]:.3e})",
-        last_iterate=as_poly(c),
-        update_norm=updates[-1],
-    )
+            raise stop(f"no convergence after {iteration} iterations (last update {update:.3e})")
+    return GalerkinSolution(as_poly(c), iteration, update, residual(c), scheme)
 
 
 def _solve_newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -321,14 +313,8 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     def as_poly(xv):
         return PiecewisePoly(mesh, 1, sqrt_h * xv[:, None])
 
-    x, iterations, update = _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly)
-    return GalerkinSolution(
-        x_g=as_poly(x),
-        iterations=iterations,
-        final_update=update,
-        final_residual=float(np.max(np.abs(x - value(x)))),
-        scheme="paper-discrete",
-    )
+    return _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly,
+                    lambda x: float(np.max(np.abs(x - value(x)))), "paper-discrete")
 
 
 def _iterated_discrete(sol: GalerkinSolution, s) -> np.ndarray:
