@@ -98,6 +98,16 @@ def _check_out(path) -> None:
         raise ConfigError(f"cannot write {path}: its directory does not exist")
 
 
+def _note(text: str) -> None:
+    """One line to stderr.  A closed stderr takes nothing: a note never
+    changes the exit code and never lands on stdout."""
+    try:
+        if sys.stderr is not None:  # fd 2 was closed when Python started
+            print(text, file=sys.stderr, flush=True)
+    except OSError:
+        pass
+
+
 def _emit(text: str, path, note: str) -> None:
     """The report to the file at path, with the note on stderr, or without a
     path to stdout and nothing else there.  A stdout its reader closed is a
@@ -105,7 +115,7 @@ def _emit(text: str, path, note: str) -> None:
     is silent."""
     if path:
         _write(path, text)
-        print(note, file=sys.stderr)
+        _note(note)
         return
     try:
         sys.stdout.write(text)
@@ -123,8 +133,8 @@ def _run_study(args) -> int:
           f"wrote {config.output_format} report to {config.output_path}")
     alphas = np.concatenate([v[np.isfinite(v)] for v in report.alpha.values()]) if report.alpha else []
     if len(alphas):
-        print(f"levels n={list(config.n_sequence)}; "
-              f"alpha in [{np.min(alphas):.2f}, {np.max(alphas):.2f}]", file=sys.stderr)
+        _note(f"levels n={list(config.n_sequence)}; "
+              f"alpha in [{np.min(alphas):.2f}, {np.max(alphas):.2f}]")
     return 0
 
 
@@ -161,10 +171,10 @@ def main(argv=None) -> int:
             return _run_study(args)
         return _run_solve(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _note(f"config error: {exc}")
         return 3
     except (DivergenceError, SingularLinearizationError) as exc:
         verb = "diverged" if isinstance(exc, DivergenceError) else "failed"
         level = f" at level n={exc.level}" if exc.level else ""
-        print(f"solver {verb}{level}: {exc}", file=sys.stderr)
+        _note(f"solver {verb}{level}: {exc}")
         return 2

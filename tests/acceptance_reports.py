@@ -2,15 +2,20 @@
 to the library compares, and a script that prints their sha256 prefixes.
 
     PYTHONPATH=src python tests/acceptance_reports.py [DIR]
+    PYTHONPATH=src python tests/acceptance_reports.py --check RECORD
 
 runs each config through ``urysohn.cli.main`` in process, writes its report
 with ``--out`` into DIR (a temporary directory when omitted) and prints one
 line per report: the first 16 hex digits of its sha256, then its name.  A
-change that moves report bytes on purpose shows where by this list.
+change that moves report bytes on purpose shows where by this list.  With
+``--check`` it compares the hashes against RECORD, a file of such lines
+(``tests/acceptance_hashes.txt`` is the committed one), names each config
+whose hash differs from it or is missing from it, and exits 1 if any does.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -67,14 +72,36 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
-def _print_hashes(directory: str) -> None:
-    for name, argv in CONFIGS:
-        print(f"{digest(write_report(argv, os.path.join(directory, name)))}  {name}")
+def hashes(directory: str) -> dict:
+    """{name: hash} of every config, its report written into directory."""
+    return {name: digest(write_report(argv, os.path.join(directory, name)))
+            for name, argv in CONFIGS}
+
+
+def mismatches(got: dict, record_path: str) -> list:
+    """One line per config whose hash differs from the record or is missing from it."""
+    with open(record_path, "r", encoding="utf-8") as handle:
+        record = {name: value for value, name in (line.split() for line in handle if line.strip())}
+    return [f"{name}: {value}, but the record has {record[name]}" if name in record
+            else f"{name}: {value}, missing from the record"
+            for name, value in got.items() if record.get(name) != value]
+
+
+def _main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print or check the acceptance report hashes.")
+    parser.add_argument("dir", nargs="?", help="where the reports go (a temporary directory)")
+    parser.add_argument("--check", metavar="RECORD", help="compare the hashes against RECORD")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        got = hashes(args.dir or tmp)
+    if args.check is None:
+        for name, value in got.items():
+            print(f"{value}  {name}")
+        return 0
+    failed = mismatches(got, args.check)
+    print("\n".join(failed) or f"all {len(got)} acceptance hashes match {args.check}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) > 1:
-        _print_hashes(sys.argv[1])
-    else:
-        with tempfile.TemporaryDirectory() as tmp:
-            _print_hashes(tmp)
+    sys.exit(_main())

@@ -455,3 +455,27 @@ def test_python_m_urysohn_without_a_stdout_exits_3_with_one_line(tmp_path, comma
     assert done.returncode == 3, done.stderr
     assert one_config_error(done.stderr), done.stderr
     assert "cannot write the report to stdout" in done.stderr
+
+
+@pytest.mark.parametrize("stderr", ["closed", "unwritable"])
+def test_closed_stderr_keeps_the_exit_code_and_stdout_empty(tmp_path, stderr):
+    """``python -m urysohn`` whose stderr is closed when it starts (``2>&-``:
+    no sys.stderr) or is a descriptor open for reading only (every write
+    fails): the notes are dropped, never written to stdout, and each run
+    keeps its exit code; a solve with --out still writes its report."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    runs = [(["solve", "--problem", "zero-kernel", "--n", "2", "--out", "s.csv"], 0),
+            (["study", "--problem", "zero-kernel", "--n", "4,9"], 3),
+            (["study", "--problem", "paper-hammerstein", "--n", "4,8", "--tol", "1e-30",
+              "--max-iter", "3"], 2)]
+    with open(os.devnull, "rb") as read_only:
+        for args, code in runs:
+            argv = [sys.executable, "-m", "urysohn", *args]
+            if stderr == "closed":
+                argv = ["sh", "-c", 'exec "$0" "$@" 2>&-', *argv]
+            done = subprocess.run(argv, cwd=tmp_path, env=env, stdout=subprocess.PIPE,
+                                  stderr=read_only if stderr == "unwritable" else None,
+                                  text=True, timeout=120)
+            assert (done.returncode, done.stdout) == (code, ""), args
+    assert (tmp_path / "s.csv").read_text().startswith("t,x_s")

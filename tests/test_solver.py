@@ -531,6 +531,23 @@ def test_stagnating_updates_stop_early():
     assert np.all(np.isfinite(info.value.last_iterate.coeffs))
 
 
+def test_a_stop_carries_the_iterate_it_accepted_last():
+    # the stagnation in iteration 11 and the exhaustion of max_iter = 11 stop
+    # on the same iterate and update; one iteration fewer stops on another
+    prob, mesh = u.get_problem("paper-hammerstein"), u.make_mesh(1)
+    stops = {}
+    for max_iter in (200, 11, 10):
+        with pytest.raises(DivergenceError) as info:
+            u.solve_paper_discrete(prob, mesh, u.SolveOptions(max_iter=max_iter))
+        stops[max_iter] = info.value
+    assert str(stops[200]).startswith("update stagnated at 2.440e-01 in iteration 11:")
+    assert str(stops[11]) == "no convergence after 11 iterations (last update 2.440e-01)"
+    assert stops[11].update_norm == stops[200].update_norm == pytest.approx(0.24404, abs=1e-5)
+    assert np.array_equal(stops[11].last_iterate.coeffs, stops[200].last_iterate.coeffs)
+    assert stops[10].update_norm > stops[11].update_norm
+    assert not np.array_equal(stops[10].last_iterate.coeffs, stops[11].last_iterate.coeffs)
+
+
 def test_slow_contraction_that_reaches_tol_is_not_stagnation():
     # scale 21 makes Picard contract by about 0.95 per iteration: it halves
     # the update only every 13 iterations, yet reaches tol within max_iter
