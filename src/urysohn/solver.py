@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergenceError, MeshMismatchError, SingularLinearizationError
-from .piecewise import PiecewisePoly, UniformMesh, _order, _projector, basis_table
+from .piecewise import PiecewisePoly, UniformMesh, _order, _projector
 from .quadrature import MAX_POINTS, GaussRule, _count, _sampled, gauss_rule
 from .problems import UrysohnProblem, _bind_galerkin, _like, apply_K
 
@@ -88,15 +88,13 @@ class GalerkinSolution:
     """A converged solve: the piecewise-polynomial solution plus diagnostics.
 
     ``final_update`` is the last coefficient-update norm (the convergence
-    criterion); ``final_residual`` the sup of the projected residual on the
-    per-cell quadrature grid, reported post hoc.  ``scheme`` distinguishes
-    the full-quadrature Galerkin solve from the midpoint compatibility one.
+    criterion).  ``scheme`` distinguishes the full-quadrature Galerkin solve
+    from the midpoint compatibility one.
     """
 
     x_g: PiecewisePoly
     iterations: int
     final_update: float
-    final_residual: float
     scheme: str = "galerkin"
 
 
@@ -114,12 +112,6 @@ class PartitionValues:
                 f"expected {self.mesh.n + 1} partition values, got {values.shape}"
             )
         object.__setattr__(self, "values", values)
-
-
-def _sup_on_rule(poly: PiecewisePoly, rule: GaussRule) -> float:
-    """Sup of |poly| sampled on the per-cell quadrature grid plus cell edges."""
-    table = basis_table(poly.r, np.concatenate(([0.0], rule.nodes, [1.0])))
-    return float(np.max(np.abs(poly.eval_on_cells(table, np.arange(poly.mesh.n)[:, None]))))
 
 
 def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
@@ -145,59 +137,55 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
     def as_poly(coeffs):
         return PiecewisePoly(mesh, r, coeffs)
 
-    def value(coeffs):
-        return galerkin(as_poly(coeffs)) + f_coeffs
-
-    return _iterate(value, lambda coeffs: matrix(as_poly(coeffs)), f_coeffs, opts, 1.0, as_poly,
-                    lambda c: _sup_on_rule(as_poly(c - value(c)), outer), "galerkin")
+    return _iterate(lambda coeffs: galerkin(as_poly(coeffs)) + f_coeffs,
+                    lambda coeffs: matrix(as_poly(coeffs)), f_coeffs, opts, 1.0, as_poly,
+                    "galerkin")
 
 
-def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly, residual,
+@np.errstate(all="ignore")  # an overflow ends in a non-finite update
+def _iterate(value, jacobian, c0, opts: SolveOptions, scale: float, as_poly,
              scheme: str) -> GalerkinSolution:
     """The one Picard/Newton loop for the fixed point c = value(c), and the
     one place a solve ends.
 
     Picard takes c <- value(c); Newton solves (I - jacobian(c)) delta =
     value(c) - c.  The update is the sup of the change times ``scale``.
-    Float warnings are off in the loop only: an overflow ends in a
-    non-finite update, and ``residual(c)`` of the returned solution runs
-    with them on.  Every DivergenceError carries ``as_poly`` of the last
-    iterate it accepted and the last update.
+    Every DivergenceError carries ``as_poly`` of the last iterate it
+    accepted and the last update.
     """
     c, updates = c0, []
 
     def stop(message):  # c and update as they stand when it is called
         return DivergenceError(message, last_iterate=as_poly(c), update_norm=update)
 
-    with np.errstate(all="ignore"):
-        for iteration in range(1, opts.max_iter + 1):
-            if opts.method == "picard":
-                c_next = value(c)
-            else:
-                resid = c - value(c)
-                jac = np.eye(c.size) - jacobian(c)
-                c_next = c + _solve_newton_step(jac, -resid.ravel()).reshape(c.shape)
-            update = scale * float(np.max(np.abs(c_next - c)))
-            if not math.isfinite(update):
-                raise stop(f"non-finite update in iteration {iteration} (update {update})")
-            updates.append(update)
-            if update > _GROWTH_LIMIT * updates[0]:
-                raise stop(f"update grew to {update:.3e} in iteration {iteration}, more than "
-                           f"{_GROWTH_LIMIT:.0e} times the first update {updates[0]:.3e}")
-            c = c_next
-            if update <= opts.tol:
-                break
-            if _STALL_WINDOW < iteration < opts.max_iter:
-                rate = update / updates[-1 - _STALL_WINDOW]
-                left = (opts.max_iter - iteration) / _STALL_WINDOW
-                if rate <= 1.0 and update * rate ** left > opts.tol:
-                    raise stop(
-                        f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
-                        f"over the last {_STALL_WINDOW} iterations ({rate:.3g}) it cannot reach "
-                        f"tol {opts.tol:.1e} within max_iter {opts.max_iter}")
+    for iteration in range(1, opts.max_iter + 1):
+        if opts.method == "picard":
+            c_next = value(c)
         else:
-            raise stop(f"no convergence after {iteration} iterations (last update {update:.3e})")
-    return GalerkinSolution(as_poly(c), iteration, update, residual(c), scheme)
+            resid = c - value(c)
+            jac = np.eye(c.size) - jacobian(c)
+            c_next = c + _solve_newton_step(jac, -resid.ravel()).reshape(c.shape)
+        update = scale * float(np.max(np.abs(c_next - c)))
+        if not math.isfinite(update):
+            raise stop(f"non-finite update in iteration {iteration} (update {update})")
+        updates.append(update)
+        if update > _GROWTH_LIMIT * updates[0]:
+            raise stop(f"update grew to {update:.3e} in iteration {iteration}, more than "
+                       f"{_GROWTH_LIMIT:.0e} times the first update {updates[0]:.3e}")
+        c = c_next
+        if update <= opts.tol:
+            break
+        if _STALL_WINDOW < iteration < opts.max_iter:
+            rate = update / updates[-1 - _STALL_WINDOW]
+            left = (opts.max_iter - iteration) / _STALL_WINDOW
+            if rate <= 1.0 and update * rate ** left > opts.tol:
+                raise stop(
+                    f"update stagnated at {update:.3e} in iteration {iteration}: at its rate "
+                    f"over the last {_STALL_WINDOW} iterations ({rate:.3g}) it cannot reach "
+                    f"tol {opts.tol:.1e} within max_iter {opts.max_iter}")
+    else:
+        raise stop(f"no convergence after {iteration} iterations (last update {update:.3e})")
+    return GalerkinSolution(as_poly(c), iteration, update, scheme)
 
 
 def _solve_newton_step(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -313,8 +301,7 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     def as_poly(xv):
         return PiecewisePoly(mesh, 1, sqrt_h * xv[:, None])
 
-    return _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly,
-                    lambda x: float(np.max(np.abs(x - value(x)))), "paper-discrete")
+    return _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly, "paper-discrete")
 
 
 def _iterated_discrete(sol: GalerkinSolution, s) -> np.ndarray:
