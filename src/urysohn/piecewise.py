@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import GaussRule, _count, _frozen, _sampled, gauss_rule
+from .quadrature import MAX_POINTS, GaussRule, _count, _frozen, _sampled, gauss_rule
 
 __all__ = [
     "UniformMesh",
@@ -145,6 +145,8 @@ def _projector(mesh: UniformMesh, r: int):
     smooth f, the rule's nodes in every cell (flattened), and the map from
     values at those nodes to projection coefficients."""
     r = _order(r)
+    if r > MAX_POINTS:  # the projection rule has max(r, 10) points
+        raise ValueError(f"polynomial order must be at most {MAX_POINTS}, got {r}")
     rule = gauss_rule(max(r, 10))
     table = basis_table(r, rule.nodes)  # (p, r)
 

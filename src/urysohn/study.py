@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
@@ -219,6 +220,9 @@ def zeta_estimate(errors: Sequence[np.ndarray], hs: Sequence[float], r: int):
         raise ValueError("need at least two levels")
     if len(errors) != len(hs):
         raise ValueError("one mesh width per error level required")
+    for h in hs:
+        if not 0 < float(h) < math.inf:
+            raise ValueError(f"mesh width must be positive and finite, got {h}")
     zetas = [np.asarray(e, dtype=float) / float(h) ** (2 * r) for e, h in zip(errors, hs)]
     metrics = []
     for z_coarse, z_fine in zip(zetas, zetas[1:]):
@@ -335,11 +339,14 @@ def _md_table(cols, fmt) -> list:
 
 
 def _strict(value):
-    """value with every non-finite float in it, at any depth, as None."""
+    """value with every number in it, at any depth, as an int or a float
+    (numpy scalars included), and every non-finite float as None."""
     if isinstance(value, dict):
         return {key: _strict(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
         return [_strict(item) for item in value]
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        value = int(value) if isinstance(value, numbers.Integral) else float(value)
     return None if isinstance(value, float) and not math.isfinite(value) else value
 
 

@@ -264,6 +264,17 @@ def test_orders_are_integers_of_at_least_one(build, r):
         build(r)
 
 
+@pytest.mark.parametrize("build", [
+    lambda r: u.project(np.exp, u.make_mesh(2), r),
+    lambda r: u.solve_galerkin(u.get_problem("zero-kernel"), u.make_mesh(2), r),
+], ids=["project", "solve_galerkin"])
+def test_an_order_above_the_largest_rule_is_named_as_an_order(build):
+    # the projection rule has max(r, 10) points, and a Gauss rule at most 64
+    assert build(64) is not None
+    with pytest.raises(ValueError, match="polynomial order must be at most 64, got 65"):
+        build(65)
+
+
 def test_numpy_integer_orders_are_stored_as_int():
     mesh, r = u.make_mesh(4), np.int64(2)
     assert type(u.PiecewisePoly(mesh, r, np.zeros((4, 2))).r) is int

@@ -59,6 +59,13 @@ def test_zeta_requires_two_levels():
         u.zeta_estimate([np.ones(3), np.ones(3)], [0.1], 1)
 
 
+@pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
+def test_zeta_requires_positive_finite_widths(h):
+    # h = 0 used to divide by zero, and NaN to give NaN zetas without a word
+    with pytest.raises(ValueError, match="mesh width must be positive and finite"):
+        u.zeta_estimate([np.ones(3), np.ones(3)], [0.1, h], 1)
+
+
 # --- config validation ------------------------------------------------------------
 
 
@@ -254,6 +261,18 @@ def test_header_only_file_for_empty_point_set(tmp_path):
     path = tmp_path / "empty.csv"
     text = u.emit_report(report, "csv", str(path))
     assert len(text.splitlines()) == 1
+
+
+@pytest.mark.parametrize("overrides, key, expected", [
+    ({"params": {"gamma": np.int64(3)}}, "gamma", 3),
+    ({"params": {"gamma": np.float32(3.0)}}, "gamma", 3.0),
+    ({"tol": np.float32(1e-10)}, "tol", float(np.float32(1e-10))),
+], ids=["int64-param", "float32-param", "float32-tol"])
+def test_json_report_writes_numpy_scalars_as_numbers(overrides, key, expected):
+    config = u.StudyConfig("linear-green", n_sequence=(2, 4), **overrides)
+    echoed = json.loads(u.render_report(u.run_study(config), "json"))["config"]
+    value = echoed["params"][key] if "params" in overrides else echoed[key]
+    assert value == expected and type(value) is type(expected)
 
 
 def test_json_roundtrip_is_bit_exact(tmp_path):
