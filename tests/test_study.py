@@ -61,7 +61,6 @@ def test_zeta_requires_two_levels():
 
 @pytest.mark.parametrize("h", [0.0, -0.1, np.nan, np.inf])
 def test_zeta_requires_positive_finite_widths(h):
-    # h = 0 used to divide by zero, and NaN to give NaN zetas without a word
     with pytest.raises(ValueError, match="mesh width must be positive and finite"):
         u.zeta_estimate([np.ones(3), np.ones(3)], [0.1, h], 1)
 
