@@ -431,7 +431,7 @@ class SplitOperator:
         g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
         before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
         left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
-        right = after[self.cells + 1] + (b2_sub * g_sub[:, p:]).sum(1)
+        right = after[self.cells] + (b2_sub * g_sub[:, p:]).sum(1)
         return a1_s * left + a2_s * right
 
     def galerkin(self, a1, b1, a2, b2, psi, dpsi, outer: GaussRule, test: np.ndarray):
@@ -465,24 +465,28 @@ class SplitOperator:
         legendre = (self.rule.weights[:, None] * self.basis(p, None)).T  # values to coefficients
         phi = self.basis(r, None) / math.sqrt(h)  # d x(t) / d c in every cell, (p, r)
 
-        def resolved(vals) -> bool:  # vals (n, p, k)
-            with np.errstate(invalid="ignore"):
-                coeffs = np.abs(legendre @ vals)
+        table, grid_cells = self.basis(r, sub=False), self._nodes[False][1]
+
+        def resolved(vals) -> bool:  # vals (k, p): k functions on the p nodes of a cell
+            if not np.isfinite(vals).all():  # checked first: inf - inf warns in the product
+                return False
+            coeffs = np.abs(vals @ legendre.T)
             top = coeffs.max()
             return bool(np.isfinite(top)) and not np.any(coeffs[:, -2:] > _RESOLVED * top)
 
-        def value(x):
-            g_reg = _piece(psi, self.t.shape, self.t, self._sample(x, sub=False))
+        def value(x):  # x a PiecewisePoly of order r on this mesh
+            g_reg = _piece(psi, self.t.shape, self.t, x.eval_on_cells(table, grid_cells))
             g_w = g_reg * self.w
             before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
-            own = (np.einsum("jl,jli->ji", g_reg, split) if resolved(g_reg[..., None]) else
+            own = (np.einsum("jl,jli->ji", g_reg, split) if resolved(g_reg) else
                    (ab() * self.w_sub * psi(self.t_sub, self._sample(x, sub=True))).sum(1)
                    .reshape(n, m) @ test)
-            return pa1 * before[:-1, None] + pa2 * after[1:, None] + own
+            return pa1 * before[:, None] + pa2 * after[:, None] + own
 
         def jacobian(x):
             d_phi = _piece(dpsi, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
-            own = (np.einsum("jli,jlb->jib", split, d_phi) if resolved(d_phi)
+            own = (np.einsum("jli,jlb->jib", split, d_phi)
+                   if resolved(d_phi.swapaxes(1, 2).reshape(-1, p))
                    else self._diagonal(ab() * dpsi(self.t_sub, self._sample(x, sub=True)), test))
             q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
             mat = pa2[:, :, None, None] * q2  # source cell right of the target
@@ -495,9 +499,11 @@ class SplitOperator:
 
 
 def _prefix_sums(b1g: np.ndarray, b2g: np.ndarray):
-    """before[j]: cells 0..j-1 of b1 g; after[j]: cells j..n-1 of b2 g."""
-    before = np.concatenate(([0.0], np.cumsum(b1g.sum(axis=1))))
-    after = np.concatenate((np.cumsum(b2g.sum(axis=1)[::-1])[::-1], [0.0]))
+    """before[j]: cells 0..j-1 of b1 g, summed from cell 0; after[j]: cells
+    j+1..n-1 of b2 g, summed from cell n-1."""
+    before, after = np.zeros(len(b1g)), np.zeros(len(b2g))
+    np.cumsum(b1g.sum(axis=1)[:-1], out=before[1:])
+    np.cumsum(b2g.sum(axis=1)[:0:-1], out=after[-2::-1])
     return before, after
 
 
