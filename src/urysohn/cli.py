@@ -12,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--n", type=int, dest="n", help="mesh size")
     common(solve)
     return parser
+
+
+# Built on the first main() call and kept: parse_args keeps no state between calls.
+_parser = cache(build_parser)
 
 
 def _study_config(args) -> StudyConfig:
@@ -164,7 +169,7 @@ def _run_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command == "study":

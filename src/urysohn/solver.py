@@ -59,8 +59,8 @@ class SolveOptions:
     sets the Gauss rule used inside the integral operator, at most
     ``MAX_POINTS``.  ``tol`` must be a positive finite number and
     ``max_iter`` and ``quad_points`` integers, stored as ``int``; strings
-    and bools are rejected with ValueError.  Every solve starts from the
-    projection of f.
+    and bools are rejected with ValueError.  A solve starts from the
+    projection of f unless it is given a ``start``.
     """
 
     method: str = "picard"
@@ -115,11 +115,13 @@ class PartitionValues:
 
 
 def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
-                   opts: Optional[SolveOptions] = None) -> GalerkinSolution:
+                   opts: Optional[SolveOptions] = None, *, start=None) -> GalerkinSolution:
     """Solve the projected equation x = P(K(x) + f) on the piecewise space.
 
     Picard iterates the fixed point; Newton solves the linearized update
-    equation and needs the kernel's first u-derivative pieces.  Raises
+    equation and needs the kernel's first u-derivative pieces.  The first
+    iterate is the projection of ``start`` (a callable, such as the x_g of
+    a coarser nested mesh) or, without one, of f.  Raises
     DivergenceError when ``max_iter`` is exhausted or, at once, when an
     update is not finite, keeps growing or stagnates, and
     SingularLinearizationError when the Newton matrix is unusable (a sign
@@ -132,13 +134,14 @@ def solve_galerkin(prob: UrysohnProblem, mesh: UniformMesh, r: int,
         kern.require_first_derivative()
 
     f_coeffs = to_coeffs(_sampled(prob.f, nodes))
+    c0 = f_coeffs if start is None else to_coeffs(_sampled(start, nodes))
     galerkin, matrix = _bind_galerkin(kern, mesh, r, outer, gauss_rule(opts.quad_points))
 
     def as_poly(coeffs):
         return PiecewisePoly(mesh, r, coeffs)
 
     return _iterate(lambda coeffs: galerkin(as_poly(coeffs)) + f_coeffs,
-                    lambda coeffs: matrix(as_poly(coeffs)), f_coeffs, opts, 1.0, as_poly,
+                    lambda coeffs: matrix(as_poly(coeffs)), c0, opts, 1.0, as_poly,
                     "galerkin")
 
 
@@ -266,13 +269,15 @@ def _extrapolate(coarse: np.ndarray, fine: np.ndarray, r: int) -> np.ndarray:
 
 
 def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
-                         opts: Optional[SolveOptions] = None) -> GalerkinSolution:
+                         opts: Optional[SolveOptions] = None, *, start=None) -> GalerkinSolution:
     """Piecewise-constant solve with every integral replaced by the one-point
     midpoint rule per cell.
 
     This reproduces the classical hand-discretized system for r = 1 (with
     its 1/sqrt(h) coefficient scaling made consistent); the default
     full-quadrature solve is preferred whenever quadrature error matters.
+    The first iterate is ``start`` at the cell midpoints, or f there
+    without one.
     """
     opts = opts if opts is not None else SolveOptions()
     kern, n, h = prob.kernel, mesh.n, mesh.h
@@ -301,7 +306,8 @@ def solve_paper_discrete(prob: UrysohnProblem, mesh: UniformMesh,
     def as_poly(xv):
         return PiecewisePoly(mesh, 1, sqrt_h * xv[:, None])
 
-    return _iterate(value, jacobian, f_mid, opts, sqrt_h, as_poly, "paper-discrete")
+    c0 = f_mid if start is None else _sampled(start, mids)
+    return _iterate(value, jacobian, c0, opts, sqrt_h, as_poly, "paper-discrete")
 
 
 def _iterated_discrete(sol: GalerkinSolution, s) -> np.ndarray:

@@ -234,16 +234,18 @@ def zeta_estimate(errors: Sequence[np.ndarray], hs: Sequence[float], r: int):
     return zetas, metrics
 
 
-def _solve_level(prob, n, r, opts, discrete_mode, points):
-    """The one scheme dispatch: solve on the uniform n-cell mesh and read x_s
-    at ``points``.  Returns ``(solution, x_s)``; a DivergenceError or a
-    SingularLinearizationError is tagged with the level n."""
+def _solve_level(prob, n, r, opts, discrete_mode, points, start=None):
+    """The one scheme dispatch: solve on the uniform n-cell mesh, from
+    ``start`` when given (the x_g of a level whose mesh nests in this one,
+    so it lies in this level's space), and read x_s at ``points``.  Returns
+    ``(solution, x_s)``; a DivergenceError or a SingularLinearizationError
+    is tagged with the level n."""
     mesh = make_mesh(n)
     try:
         if discrete_mode == "paper-discrete":
-            sol = solve_paper_discrete(prob, mesh, opts)
+            sol = solve_paper_discrete(prob, mesh, opts, start=start)
         else:
-            sol = solve_galerkin(prob, mesh, r, opts)
+            sol = solve_galerkin(prob, mesh, r, opts, start=start)
     except (DivergenceError, SingularLinearizationError) as exc:
         exc.level = n
         raise
@@ -260,7 +262,8 @@ def _orders(errors: dict) -> dict:
 
 def run_study(config: StudyConfig) -> ConvergenceReport:
     """Solve every level, measure errors at the coarse interior partition
-    points, extrapolate consecutive pairs, and estimate orders.
+    points, extrapolate consecutive pairs, and estimate orders.  Each level
+    after the first starts from the x_g of the level below.
 
     x_s is read only at those points, which nest in every finer level.
     Endpoints are excluded: for Green's-kernel problems the operator
@@ -274,8 +277,10 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     opts = config._solve_options(reference_based)
     ns = config.n_sequence
     points = make_mesh(ns[0]).points[1:-1]
-    solved = {n: _solve_level(prob, n, config.r, opts, config.discrete_mode, points)
-              for n in config._levels(reference_based)}
+    solved, start = {}, None
+    for n in config._levels(reference_based):  # each level starts from the one below
+        solved[n] = _solve_level(prob, n, config.r, opts, config.discrete_mode, points, start)
+        start = solved[n][0].x_g
     exact = (solved[max(solved)][1] if reference_based
              else np.asarray(prob.exact(points), dtype=float))
 

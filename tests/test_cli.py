@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import urysohn as u
+import urysohn.cli
 import urysohn.study
 from urysohn.cli import main
 from urysohn.errors import SingularLinearizationError
@@ -479,3 +480,23 @@ def test_closed_stderr_keeps_the_exit_code_and_stdout_empty(tmp_path, stderr):
                                   text=True, timeout=120)
             assert (done.returncode, done.stdout) == (code, ""), args
     assert (tmp_path / "s.csv").read_text().startswith("t,x_s")
+
+
+def test_main_keeps_one_parser_and_no_state_between_calls(capsys):
+    """main() builds its argparse tree once per process, and two calls in one
+    process give exactly the reports each gives alone in a fresh process:
+    json then the default csv, and --n 4,8 then --n 8,16."""
+    runs = [["study", "--problem", "paper-hammerstein", "--n", "4,8", "--format", "json"],
+            ["study", "--problem", "paper-hammerstein", "--n", "4,8"],
+            ["study", "--problem", "paper-hammerstein", "--n", "8,16"]]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    alone = [subprocess.run([sys.executable, "-m", "urysohn", *argv], env=env, check=True,
+                            capture_output=True, text=True, timeout=120).stdout for argv in runs]
+    built = []
+    urysohn.cli._parser.cache_clear()
+    for argv, want in zip(runs, alone):
+        assert main(argv) == 0
+        built.append(urysohn.cli._parser.cache_info().misses)
+        assert capsys.readouterr().out == want
+    assert built == [1, 1, 1]

@@ -779,3 +779,19 @@ def test_orders_on_a_kernel_that_is_not_hammerstein(r, ns, method, tol):
             assert np.all(np.abs(beta - 6.0) <= 0.3), (a, beta)
     for a, b in zip(ns, ns[1:]):
         assert np.all(e2[a] < e1[b]), (a, e2[a], e1[b])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("r", [1, 3])
+def test_a_psi_not_finite_on_one_cell_takes_the_split_cell_sums(r, bad):
+    """psi NaN or inf on one cell of four does not resolve: the coefficients
+    read psi off the node grid (the product pair fails there), and the check
+    itself warns of nothing."""
+    base = u.get_problem("paper-hammerstein").kernel
+
+    def spoiled(t, x):
+        return np.where((t > 0.5) & (t < 0.75), bad, base.psi(t, x))
+
+    mesh, _, _, (value, _) = solve_operator(dataclasses.replace(base, psi=spoiled), 4, r)
+    with pytest.raises(AssertionError, match="direct path"):
+        value(u.project(lambda t: 2.0 / (2.0 * t + 1.0), mesh, r))

@@ -47,6 +47,53 @@ def test_zero_kernel_solve_is_the_projection_of_f(zero_kernel, method, r):
     assert np.array_equal(sol.x_g.coeffs, u.project(zero_kernel.f, mesh, r).coeffs)
 
 
+# --- the first iterate ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_a_solve_started_at_its_own_solution_stops_after_one_iteration(hammerstein, method):
+    opts = u.SolveOptions(method=method)
+    for r in (1, 2, 3):
+        mesh = u.make_mesh(8)
+        sol = u.solve_galerkin(hammerstein, mesh, r, opts)
+        again = u.solve_galerkin(hammerstein, mesh, r, opts, start=sol.x_g)
+        assert sol.iterations > 1 and again.iterations == 1
+    sol = u.solve_paper_discrete(hammerstein, mesh, opts)
+    assert u.solve_paper_discrete(hammerstein, mesh, opts, start=sol.x_g).iterations == 1
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_without_a_start_a_solve_starts_from_f(monkeypatch, hammerstein, method):
+    """start=None is the solve without a start, bit for bit, and its first
+    iterate is the projection of f (f at the midpoints for the midpoint
+    scheme), as it was before solves took a start."""
+    first, iterate = [], u.solver._iterate
+    monkeypatch.setattr(u.solver, "_iterate",
+                        lambda value, jac, c0, *rest: first.append(c0) or iterate(value, jac, c0, *rest))
+    mesh, opts = u.make_mesh(8), u.SolveOptions(method=method)
+    plain, none = (u.solve_galerkin(hammerstein, mesh, 2, opts, **start)
+                   for start in ({}, {"start": None}))
+    assert plain.x_g.coeffs.tobytes() == none.x_g.coeffs.tobytes()
+    assert (plain.iterations, plain.final_update) == (none.iterations, none.final_update)
+    assert np.array_equal(first[0], u.project(hammerstein.f, mesh, 2).coeffs)
+    assert np.array_equal(first[1], first[0])
+    u.solve_paper_discrete(hammerstein, mesh, opts, start=None)
+    assert np.array_equal(first[2], hammerstein.f(mesh.points[:-1] + 0.5 * mesh.h))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_a_coarse_solution_projected_on_the_nested_mesh_is_itself(hammerstein, r):
+    """The x_g of n cells lies in the space of 2n cells: sampled at the 2n
+    mesh's projection nodes and projected, it reproduces itself there within
+    1e-15 of its largest value."""
+    coarse = u.solve_galerkin(hammerstein, u.make_mesh(5), r).x_g
+    fine = u.make_mesh(10)
+    _, nodes, to_coeffs = _projector(fine, r)
+    values = coarse(nodes)
+    moved = u.PiecewisePoly(fine, r, to_coeffs(values))
+    assert np.max(np.abs(moved(nodes) - values)) <= 1e-15 * np.max(np.abs(values))
+
+
 def test_picard_newton_and_direct_solve_agree(linear_green):
     mesh = u.make_mesh(6)
     r = 2

@@ -234,6 +234,32 @@ def test_reference_based_fallback_flags_report():
     assert np.all(report.e1[4] > 0)
 
 
+@pytest.mark.parametrize("discrete_mode", ["full", "paper-discrete"])
+def test_each_level_and_the_reference_start_from_the_level_below(monkeypatch, discrete_mode):
+    starts, name = [], ("solve_paper_discrete" if discrete_mode == "paper-discrete"
+                        else "solve_galerkin")
+    solve = getattr(u.study, name)
+
+    def recorded(prob, mesh, *args, start=None):
+        starts.append((mesh.n, None if start is None else start.mesh.n))
+        return solve(prob, mesh, *args, start=start)
+
+    monkeypatch.setattr(u.study, name, recorded)
+    u.run_study(u.StudyConfig(problem_id="paper-hammerstein", rhs_mode="paper",
+                              n_sequence=(4, 8), discrete_mode=discrete_mode))
+    assert starts == [(4, None), (8, 4), (64, 8)]
+
+
+@pytest.mark.parametrize("method", ["picard", "newton"])
+def test_r3_study_levels_take_fewer_iterations_than_the_first(method):
+    """The r = 3 acceptance studies: every level after the first, started
+    from the one below, takes fewer iterations than the first."""
+    report = u.run_study(u.StudyConfig(problem_id="paper-hammerstein", r=3,
+                                       n_sequence=(5, 10, 20, 40), tol=1e-15, method=method))
+    first, *rest = report.meta["iterations"].values()
+    assert len(rest) == 3 and max(rest) < first
+
+
 # --- emission -------------------------------------------------------------------------
 
 
