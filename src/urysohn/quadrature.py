@@ -467,12 +467,12 @@ class SplitOperator:
 
         table, grid_cells = self.basis(r, sub=False), self._nodes[False][1]
 
-        def resolved(vals) -> bool:  # vals (k, p): k functions on the p nodes of a cell
+        def resolved(vals) -> bool:  # vals (k, p): k functions, each on its cell's p nodes
             if not np.isfinite(vals).all():  # checked first: inf - inf warns in the product
                 return False
             coeffs = np.abs(vals @ legendre.T)
             top = coeffs.max()
-            return bool(np.isfinite(top)) and not np.any(coeffs[:, -2:] > _RESOLVED * top)
+            return math.isfinite(top) and not (coeffs[:, -2:] > _RESOLVED * top).any()
 
         def value(x):  # x a PiecewisePoly of order r on this mesh
             g_reg = _piece(psi, self.t.shape, self.t, x.eval_on_cells(table, grid_cells))
@@ -502,8 +502,8 @@ def _prefix_sums(b1g: np.ndarray, b2g: np.ndarray):
     """before[j]: cells 0..j-1 of b1 g, summed from cell 0; after[j]: cells
     j+1..n-1 of b2 g, summed from cell n-1."""
     before, after = np.zeros(len(b1g)), np.zeros(len(b2g))
-    np.cumsum(b1g.sum(axis=1)[:-1], out=before[1:])
-    np.cumsum(b2g.sum(axis=1)[:0:-1], out=after[-2::-1])
+    b1g.sum(axis=1)[:-1].cumsum(out=before[1:])
+    b2g.sum(axis=1)[:0:-1].cumsum(out=after[-2::-1])
     return before, after
 
 

@@ -278,7 +278,7 @@ def run_study(config: StudyConfig) -> ConvergenceReport:
     ns = config.n_sequence
     points = make_mesh(ns[0]).points[1:-1]
     solved, start = {}, None
-    for n in config._levels(reference_based):  # each level starts from the one below
+    for n in config._levels(reference_based):
         solved[n] = _solve_level(prob, n, config.r, opts, config.discrete_mode, points, start)
         start = solved[n][0].x_g
     exact = (solved[max(solved)][1] if reference_based

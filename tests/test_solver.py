@@ -52,9 +52,8 @@ def test_zero_kernel_solve_is_the_projection_of_f(zero_kernel, method, r):
 
 @pytest.mark.parametrize("method", ["picard", "newton"])
 def test_a_solve_started_at_its_own_solution_stops_after_one_iteration(hammerstein, method):
-    opts = u.SolveOptions(method=method)
+    mesh, opts = u.make_mesh(8), u.SolveOptions(method=method)
     for r in (1, 2, 3):
-        mesh = u.make_mesh(8)
         sol = u.solve_galerkin(hammerstein, mesh, r, opts)
         again = u.solve_galerkin(hammerstein, mesh, r, opts, start=sol.x_g)
         assert sol.iterations > 1 and again.iterations == 1
@@ -68,8 +67,12 @@ def test_without_a_start_a_solve_starts_from_f(monkeypatch, hammerstein, method)
     iterate is the projection of f (f at the midpoints for the midpoint
     scheme), as it was before solves took a start."""
     first, iterate = [], u.solver._iterate
-    monkeypatch.setattr(u.solver, "_iterate",
-                        lambda value, jac, c0, *rest: first.append(c0) or iterate(value, jac, c0, *rest))
+
+    def recorded(value, jacobian, c0, *rest):
+        first.append(c0)
+        return iterate(value, jacobian, c0, *rest)
+
+    monkeypatch.setattr(u.solver, "_iterate", recorded)
     mesh, opts = u.make_mesh(8), u.SolveOptions(method=method)
     plain, none = (u.solve_galerkin(hammerstein, mesh, 2, opts, **start)
                    for start in ({}, {"start": None}))
