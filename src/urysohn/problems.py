@@ -221,7 +221,7 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
                                dpsi=lambda t, u: g2 - 6.0 * u ** 2)
 
     def phi(s):
-        return 2.0 / (2.0 * s + 1.0)
+        return 2.0 / (2.0 * np.asarray(s, dtype=float) + 1.0)
 
     if rhs_mode == "manufactured":
         return UrysohnProblem(kernel, manufactured_rhs(kernel, phi), exact=phi,
@@ -231,6 +231,7 @@ def _hammerstein_problem(gamma: float, rhs_mode: str) -> UrysohnProblem:
     # inconsistent with phi (f(0) = 2/gamma instead of phi(0) = 2), so no
     # exact solution is attached and studies fall back to a reference solve.
     def f_printed(s):
+        s = np.asarray(s, dtype=float)
         return (2.0 * np.sinh(gamma * (1.0 - s)) + (2.0 / 3.0) * np.sinh(gamma * s)) / (
             gamma * np.sinh(gamma)
         )
@@ -252,7 +253,7 @@ def _zero_kernel_problem() -> UrysohnProblem:
     kernel = HammersteinKernel(*_green_factors(GAMMA_DEFAULT), psi=zero, dpsi=zero)
 
     def f(s):
-        return np.sin(np.pi * s) + 1.0
+        return np.sin(np.pi * np.asarray(s, dtype=float)) + 1.0
 
     return UrysohnProblem(kernel, f, exact=f, name="zero-kernel")
 

@@ -106,6 +106,21 @@ def _to_coefficients(q: int) -> np.ndarray:
     return _frozen(mat)[0]
 
 
+@cache
+def _product_tables(outer: GaussRule, inner: GaussRule, r: int):
+    """Product integration's tables of a rule pair, built once: the cell-local
+    sub-panel nodes of each outer node (m, 2p), there the inner weights times
+    the inner nodes' Lagrange basis (m, 2p, p), the inner nodes' values to
+    Legendre coefficients as a right factor (p, p), and the basis of order r."""
+    from .piecewise import basis_table  # piecewise imports this module
+    tau, w, sigma = inner.nodes, inner.weights, outer.nodes[:, None]
+    local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)
+    bary = (-1.0) ** np.arange(inner.p) * np.sqrt(tau * (1.0 - tau) * w)
+    lagrange = _interpolation(local.ravel(), tau, bary).reshape(local.shape + (-1,))
+    return _frozen(local, np.tile(w, 2)[:, None] * lagrange, w[:, None] * basis_table(inner.p, tau),
+                   basis_table(r, tau))
+
+
 def _interpolation(xi, x, bary) -> np.ndarray:
     """Barycentric weights (R, q) from the points x to each of the R points
     xi; an xi that is one of the points takes that value exactly."""
@@ -187,11 +202,11 @@ class SplitOperator:
     the regular Gauss panels of cells 0..j-1 and the sub-panel [t_j, s], the
     second piece over the sub-panel [s, t_{j+1}] and cells j+1..n-1.  No
     panel straddles a mesh point or the split; a sub-panel of zero width
-    (s on a mesh point) carries zero weights.  Built once and kept
-    read-only: the node grid ``t`` (n, p) with the panel weights ``w``, the
+    (s on a mesh point) carries zero weights.  Kept read-only: the node
+    grid ``t`` (n, p) with the panel weights ``w``, and on first read the
     split cell ``cells`` of each s, its sub-panel nodes ``t_sub`` (S, 2p)
-    and weights ``w_sub`` (first p columns on [t_j, s]), and on its first
-    read the ``basis`` table of each order r at either node set or the rule.
+    and weights ``w_sub`` (first p columns on [t_j, s]), and the ``basis``
+    table of each order r at either node set or the rule.
 
     The regular cells are reached through an even bisection of the cells into
     a binary tree.  At each node the targets in the right child see the left
@@ -205,21 +220,30 @@ class SplitOperator:
     """
 
     def __init__(self, mesh, rule: GaussRule, s_points):
-        s = np.asarray(s_points, dtype=float).ravel()
-        cells = mesh.cell_of(s)
-        pts, h = mesh.points, mesh.h
-        col, lo, hi = s[:, None], pts[cells][:, None], pts[cells + 1][:, None]
-        self.mesh, self.rule, self.s, self.cells = mesh, rule, s, cells
-        self.t = mesh.grid(rule.nodes)
-        self.w = h * rule.weights
-        self.t_sub = np.concatenate([lo + (col - lo) * rule.nodes,
-                                     col + (hi - col) * rule.nodes], axis=1)
-        self.w_sub = np.concatenate([(col - lo) * rule.weights,
-                                     (hi - col) * rule.weights], axis=1)
-        grid_cells = np.arange(mesh.n)[:, None]
-        _frozen(self.s, self.cells, self.t, self.w, self.t_sub, self.w_sub, grid_cells)
-        self._nodes = ((self.t, grid_cells), (self.t_sub, cells[:, None]))
+        self.mesh, self.rule = mesh, rule
+        self.s = np.asarray(s_points, dtype=float).ravel()
+        mesh._check_domain(self.s)
+        self.t, self.w = mesh.grid(rule.nodes), mesh.h * rule.weights
+        self._grid_cells = np.arange(mesh.n)[:, None]
+        _frozen(self.s, self.t, self.w, self._grid_cells)
         self._tables, self._kept = {}, {}
+
+    @cached_property
+    def _split(self):
+        """``cells``, ``t_sub`` and ``w_sub``, built on first read."""
+        cells, pts, rule = self.mesh.cell_of(self.s), self.mesh.points, self.rule
+        s, lo, hi = self.s[:, None], pts[cells][:, None], pts[cells + 1][:, None]
+        return _frozen(cells, np.concatenate([lo + (s - lo) * rule.nodes,
+                                              s + (hi - s) * rule.nodes], axis=1),
+                       np.concatenate([(s - lo) * rule.weights, (hi - s) * rule.weights], axis=1))
+
+    cells = property(lambda self: self._split[0])
+    t_sub = property(lambda self: self._split[1])
+    w_sub = property(lambda self: self._split[2])
+
+    def _nodes(self, sub: bool):
+        """The node grid and its cells, or with ``sub`` the sub-panel nodes and theirs."""
+        return (self.t_sub, self.cells[:, None]) if sub else (self.t, self._grid_cells)
 
     def basis(self, r: int, sub: bool | None):
         """``basis_table`` of order r at the rule's nodes (p, r) with ``sub``
@@ -227,7 +251,7 @@ class SplitOperator:
         p, r) or with ``sub`` of the sub-panel nodes (S, 2p, r), built once."""
         from .piecewise import basis_table  # piecewise imports this module
         if (r, sub) not in self._tables:
-            tau = self.rule.nodes if sub is None else self.mesh.local(*self._nodes[sub])
+            tau = self.rule.nodes if sub is None else self.mesh.local(*self._nodes(sub))
             self._tables[r, sub] = _frozen(basis_table(r, tau))[0]
         return self._tables[r, sub]
 
@@ -238,7 +262,7 @@ class SplitOperator:
         a cell edge); anything else is called."""
         if isinstance(x, tuple):
             return np.stack([self._sample(y, sub) for y in x], axis=-1)
-        t, cells = self._nodes[sub]
+        t, cells = self._nodes(sub)
         if getattr(x, "mesh", None) == self.mesh:
             return x.eval_on_cells(self.basis(x.r, sub), cells)
         return _sampled(x, t)
@@ -412,12 +436,12 @@ class SplitOperator:
                         (1.0 / math.sqrt(self.mesh.h)) * self.basis(r, sub=True))
         return test.T @ own.reshape(n, m, r)
 
-    def _factors(self, a1, b1, a2, b2):
+    def _factors(self, a1, b1, a2, b2, sub):
         """a1 and a2 at the points s, b1 and b2 at the node grid and at the
-        sub-panel nodes of their side."""
+        sub-panel nodes ``sub`` (S, 2p) of their side."""
         p = self.rule.p
-        return (_sampled(a1, self.s), _sampled(b1, self.t), _sampled(b1, self.t_sub[:, :p]),
-                _sampled(a2, self.s), _sampled(b2, self.t), _sampled(b2, self.t_sub[:, p:]))
+        return (_sampled(a1, self.s), _sampled(b1, self.t), _sampled(b1, sub[:, :p]),
+                _sampled(a2, self.s), _sampled(b2, self.t), _sampled(b2, sub[:, p:]))
 
     def separable(self, a1, b1, a2, b2, g, x) -> np.ndarray:
         """The integral of a1(s) b1(t) g(t, x(t)) over [0, s] plus a2(s)
@@ -426,10 +450,10 @@ class SplitOperator:
         depend on s.  g is read at n p + 2 p S points, with no (S, n, p)
         block."""
         p = self.rule.p
-        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
+        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2, self.t_sub)
         g_w = self.w * _piece(g, self.t.shape, self.t, self._sample(x, sub=False))
         g_sub = np.asarray(g(self.t_sub, self._sample(x, sub=True)), dtype=float) * self.w_sub
-        before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
+        before, after = _prefix_sums((b1_reg * g_w).sum(1), (b2_reg * g_w).sum(1))
         left = before[self.cells] + (b1_sub * g_sub[:, :p]).sum(1)
         right = after[self.cells] + (b2_sub * g_sub[:, p:]).sum(1)
         return a1_s * left + a2_s * right
@@ -439,56 +463,53 @@ class SplitOperator:
         the outer rule's nodes in every cell and ``test`` (m, r) its test
         weights: ``value(x)`` the Galerkin coefficients of ``separable``'s
         integral of g = psi, ``jacobian(x)`` their exact Jacobian in the
-        coefficients of x, from dpsi.  psi is read on the node grid and
-        interpolated on each cell by the Lagrange basis L_l of its p nodes:
-        the split cell enters as sum_l psi_jl M[j, l, i], M the sub-panel
-        sums of the test weights times a b L_l, the other cells as the prefix
-        sums times the test sums of a1 and a2 (rank-one Jacobian blocks).
-        Exact to roundoff for psi of degree < p on every cell; where psi (or
-        dpsi phi_b) is not finite or has, in some cell, one of its last two
-        Legendre coefficients above _RESOLVED times the largest over all
-        cells, the split cells take psi (or dpsi) on the sub-panels instead."""
+        coefficients of x, from dpsi.  One contraction of psi on the node grid
+        with [M | b1 w | b2 w] gives the split cell, M the sub-panel sums of
+        the test weights times a b L_l (L_l the Lagrange basis of a cell's p
+        nodes), and the cell integrals whose prefix sums times the test sums
+        of a1 and a2 give the other cells (rank-one Jacobian blocks).  Exact
+        to roundoff for psi of degree < p on every cell; where psi (or dpsi
+        phi_b) is not finite or has, in some cell, one of its last two Legendre
+        coefficients above _RESOLVED times the largest over all cells, the
+        split cells take psi (or dpsi) on the sub-panels instead."""
         n, (m, r), p, h = self.mesh.n, test.shape, self.rule.p, self.mesh.h
-        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(a1, b1, a2, b2)
-        tau, sigma = self.rule.nodes, outer.nodes[:, None]
-        local = np.concatenate([sigma * tau, sigma + (1.0 - sigma) * tau], axis=1)  # (m, 2p)
-        bary = (-1.0) ** np.arange(p) * np.sqrt(tau * (1.0 - tau) * self.rule.weights)
-        lagrange = _interpolation(local.ravel(), tau, bary).reshape(m, 2 * p, p)
-
-        def ab():  # a(s) b(t) at the sub-panel nodes, (S, 2p)
-            return np.concatenate([a1_s[:, None] * b1_sub, a2_s[:, None] * b2_sub], axis=1)
-
-        own = ab() * self.w_sub
-        split = np.einsum("jkq,kql,ki->jli", own.reshape(n, m, 2 * p), lagrange, test,
-                          optimize=True)  # M
+        local, panel, legendre, phi = _product_tables(outer, self.rule, r)
+        a1_s, b1_reg, b1_sub, a2_s, b2_reg, b2_sub = self._factors(
+            a1, b1, a2, b2, self.mesh.grid(local.ravel()).reshape(n * m, 2 * p))
+        ab = np.concatenate([a1_s[:, None] * b1_sub, a2_s[:, None] * b2_sub], axis=1)  # (S, 2p)
+        pts, col = self.mesh.points[:, None], self.s.reshape(n, m)  # widths s - t_j, t_j+1 - s
+        widths = np.stack([col - pts[:-1], pts[1:] - col], axis=2)[..., None]  # as w_sub has
+        panel = (test[:, None, :, None] * panel[:, :, None]).reshape(m * 2 * p, r * p)
+        split = ((ab.reshape(n, m, 2, p) * widths).reshape(n, -1) @ panel).reshape(n, r, p)  # M
+        weights = np.concatenate([split, (b1_reg * self.w)[:, None], (b2_reg * self.w)[:, None]], 1)
         pa1, pa2 = a1_s.reshape(n, m) @ test, a2_s.reshape(n, m) @ test  # (n, r)
-        legendre = (self.rule.weights[:, None] * self.basis(p, None)).T  # values to coefficients
-        phi = self.basis(r, None) / math.sqrt(h)  # d x(t) / d c in every cell, (p, r)
+        table, phi = self.basis(r, sub=False), phi.T / math.sqrt(h)  # phi: d x(t) / d c, (r, p)
 
-        table, grid_cells = self.basis(r, sub=False), self._nodes[False][1]
-
-        def resolved(vals) -> bool:  # vals (k, p): k functions, each on its cell's p nodes
-            if not np.isfinite(vals).all():  # checked first: inf - inf warns in the product
-                return False
-            coeffs = np.abs(vals @ legendre.T)
-            top = coeffs.max()
-            return math.isfinite(top) and not (coeffs[:, -2:] > _RESOLVED * top).any()
+        def sums(vals, split_cells):  # vals (n, k, p): k functions on each cell's p nodes
+            """The split-cell terms (n, r, k), from ``split_cells()`` unless vals
+            resolve, and the cell integrals of b1 and b2 (n, k)."""
+            ok = np.isfinite(vals).all()  # checked first: inf - inf warns in the product
+            if ok:
+                coeffs = np.abs(vals.reshape(-1, p) @ legendre)
+                top = coeffs.max()
+                ok = math.isfinite(top) and coeffs[:, -2:].max() <= _RESOLVED * top
+            if not ok:
+                return split_cells(), *np.einsum("jcl,jkl->cjk", weights[:, r:], vals)
+            out = np.einsum("jcl,jkl->jck", weights, vals)
+            return out[:, :r], out[:, r], out[:, r + 1]
 
         def value(x):  # x a PiecewisePoly of order r on this mesh
-            g_reg = _piece(psi, self.t.shape, self.t, x.eval_on_cells(table, grid_cells))
-            g_w = g_reg * self.w
-            before, after = _prefix_sums(b1_reg * g_w, b2_reg * g_w)
-            own = (np.einsum("jl,jli->ji", g_reg, split) if resolved(g_reg) else
-                   (ab() * self.w_sub * psi(self.t_sub, self._sample(x, sub=True))).sum(1)
-                   .reshape(n, m) @ test)
-            return pa1 * before[:, None] + pa2 * after[:, None] + own
+            g = _piece(psi, self.t.shape, self.t, x.eval_on_cells(table, self._grid_cells))
+            own, cell1, cell2 = sums(g[:, None], lambda: (
+                (ab * self.w_sub * psi(self.t_sub, self._sample(x, sub=True))).sum(1)
+                .reshape(n, m) @ test)[..., None])
+            before, after = _prefix_sums(cell1[:, 0], cell2[:, 0])
+            return pa1 * before[:, None] + pa2 * after[:, None] + own[..., 0]
 
         def jacobian(x):
-            d_phi = _piece(dpsi, self.t.shape, self.t, self._sample(x, sub=False))[..., None] * phi
-            own = (np.einsum("jli,jlb->jib", split, d_phi)
-                   if resolved(d_phi.swapaxes(1, 2).reshape(-1, p))
-                   else self._diagonal(ab() * dpsi(self.t_sub, self._sample(x, sub=True)), test))
-            q1, q2 = (np.einsum("jl,jlb->jb", b_reg * self.w, d_phi) for b_reg in (b1_reg, b2_reg))
+            d_phi = _piece(dpsi, self.t.shape, self.t, self._sample(x, sub=False))[:, None] * phi
+            own, q1, q2 = sums(d_phi, lambda: self._diagonal(
+                ab * dpsi(self.t_sub, self._sample(x, sub=True)), test))
             mat = pa2[:, :, None, None] * q2  # source cell right of the target
             np.multiply(pa1[:, :, None, None], q1, out=mat,
                         where=np.tri(n, k=-1, dtype=bool)[:, None, :, None])  # left of it
@@ -499,11 +520,11 @@ class SplitOperator:
 
 
 def _prefix_sums(b1g: np.ndarray, b2g: np.ndarray):
-    """before[j]: cells 0..j-1 of b1 g, summed from cell 0; after[j]: cells
-    j+1..n-1 of b2 g, summed from cell n-1."""
+    """before[j]: the cell integrals (n,) b1g of cells 0..j-1, summed from
+    cell 0; after[j]: those b2g of cells j+1..n-1, summed from cell n-1."""
     before, after = np.zeros(len(b1g)), np.zeros(len(b2g))
-    b1g.sum(axis=1)[:-1].cumsum(out=before[1:])
-    b2g.sum(axis=1)[:0:-1].cumsum(out=after[-2::-1])
+    b1g[:-1].cumsum(out=before[1:])
+    b2g[:0:-1].cumsum(out=after[-2::-1])
     return before, after
 
 

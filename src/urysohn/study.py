@@ -385,9 +385,9 @@ def _render_json(report: ConvergenceReport) -> str:
     return _json(payload)
 
 
-def _md_cell(name: str, v: float) -> str:
+def _md_cell(name: str, v: float, places: int) -> str:
     if name == "t_i":
-        return f"{v:.2f}"
+        return f"{v:.{places}f}"
     if name.startswith(("alpha", "beta")):
         return _fmt_order(v)
     return _fmt_sci(v)
@@ -400,7 +400,9 @@ def _render_md(report: ConvergenceReport) -> str:
         f"n={','.join(str(n) for n in cfg['n_sequence'])})",
         "",
     ]
-    head += _md_table(report.columns(), _md_cell)
+    cols = report.columns()  # t_i first: the fewest decimals, 2 to 6, that read back as the points
+    places = next((d for d in range(2, 6) if all(float(f"{t:.{d}f}") == t for t in cols[0][1])), 6)
+    head += _md_table(cols, lambda name, v: _md_cell(name, v, places))
     if report.zeta_stabilization:
         head.append("")
         stab = ", ".join(

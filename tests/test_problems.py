@@ -136,6 +136,25 @@ def test_operator_calls_take_scalar_or_array(hammerstein, rule16):
         np.testing.assert_allclose(batched.ravel(), singles, rtol=0, atol=1e-14, err_msg=name)
 
 
+@pytest.mark.parametrize("rhs_mode", u.problems.RHS_MODES)
+@pytest.mark.parametrize("problem_id", u.PROBLEM_IDS)
+def test_built_in_problems_take_a_list_of_points(problem_id, rhs_mode, rule16):
+    """f, iterated_eval and residual at a list s give what they give at the
+    array of it, for every right-hand side a built-in problem has."""
+    try:
+        prob = u.get_problem(problem_id, rhs_mode=rhs_mode)
+    except ConfigError:  # only paper-hammerstein has the printed one
+        assert rhs_mode == "paper" and problem_id != "paper-hammerstein"
+        return
+    mesh = u.make_mesh(4)
+    sol = u.solve_galerkin(prob, mesh, 1)
+    calls = {"f": prob.f,
+             "iterated_eval": lambda s: u.iterated_eval(prob, sol, s, rule16),
+             "residual": lambda s: u.residual(prob, sol.x_g, s, rule16, mesh)}
+    for name, call in calls.items():
+        np.testing.assert_array_equal(call([0.1, 0.2]), call(np.array([0.1, 0.2])), err_msg=name)
+
+
 def test_operator_calls_reject_nan(hammerstein, rule16):
     mesh = u.make_mesh(4)
     sol = u.solve_galerkin(hammerstein, mesh, 1)

@@ -523,15 +523,16 @@ def test_product_integration_matches_the_direct_galerkin_sums(problem_id, gamma)
     """psi is cubic or linear in u, so on order r <= 3 it is a polynomial of
     degree < p on every cell and product integration reproduces the
     sub-panel quadrature: coefficients and Newton matrix within 1e-14 of the
-    largest entry, without taking the direct path."""
+    largest entry, without taking the direct path.  Also at the sizes of a
+    study: n = 10, 20 and its reference 160 at r = 1, and n = 40 at r = 3."""
     kern = u.get_problem(problem_id, {"gamma": gamma}).kernel
-    for r in (1, 2, 3):
-        for n in (1, 3, 16):
-            mesh, direct, _, product = solve_operator(kern, n, r)
-            x = u.project(lambda t: 2.0 / (2.0 * t + 1.0) + 0.3 * np.sin(3.0 * t), mesh, r)
-            for want, got in zip((f(x) for f in direct), (f(x) for f in product)):
-                assert got.shape == want.shape
-                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    sizes = [(r, n) for r in (1, 2, 3) for n in (1, 3, 16)] + [(1, 10), (1, 20), (1, 160), (3, 40)]
+    for r, n in sizes:
+        mesh, direct, _, product = solve_operator(kern, n, r)
+        x = u.project(lambda t: 2.0 / (2.0 * t + 1.0) + 0.3 * np.sin(3.0 * t), mesh, r)
+        for want, got in zip((f(x) for f in direct), (f(x) for f in product)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (r, n)
 
 
 @pytest.mark.parametrize("n", [1, 4, 16, 64])

@@ -204,6 +204,38 @@ def test_solve_samples_the_green_factors_once():
     assert short[1]["psi"] < long[1]["psi"]
 
 
+def test_study_levels_build_the_rule_tables_once_and_sample_only_the_factors(monkeypatch):
+    """A 3-level study (the printed right-hand side at n = 10 and 20, and
+    its reference at 160) builds the product-integration tables of its rule
+    pair once and searches no contraction path; each level's binding
+    samples a1 and a2 at its n m outer nodes and b1 and b2 at the n p grid
+    points and the n m p sub-panel points of their side, once each."""
+    tables, einsum = u.quadrature._product_tables, np.einsum
+    searched, sizes = [], []
+    monkeypatch.setattr(np, "einsum", lambda *args, **kwargs: searched.append(
+        kwargs.get("optimize", False)) or einsum(*args, **kwargs))
+    config = u.StudyConfig(problem_id="paper-hammerstein", rhs_mode="paper", n_sequence=(10, 20))
+    prob = u.get_problem(config.problem_id, rhs_mode=config.rhs_mode)
+
+    def counted(name):
+        fn = getattr(prob.kernel, name)
+        return lambda t: sizes[-1].setdefault(name, []).append(np.size(t)) or fn(t)
+
+    factors = ("a1", "b1", "a2", "b2")
+    kern = dataclasses.replace(prob.kernel, **{name: counted(name) for name in factors})
+    bind = u.solver._bind_galerkin
+    monkeypatch.setattr(u.solver, "_bind_galerkin", lambda kernel, *args: sizes.append(
+        {"n": args[0].n}) or bind(kern, *args))
+    tables.cache_clear()
+    u.run_study(config)
+    assert (tables.cache_info().misses, tables.cache_info().hits) == (1, 2)
+    assert searched and not any(searched)
+    m = p = 10
+    assert [level.pop("n") for level in sizes] == [10, 20, 160]
+    for n, level in zip((10, 20, 160), sizes):
+        assert level == dict(zip(factors, ([n * m], [n * p, n * m * p]) * 2))
+
+
 @pytest.mark.parametrize("method", ["picard", "newton"])
 def test_hammerstein_solve_reads_psi_and_dpsi_on_its_grid_only(method):
     """Every iteration evaluates psi at the n p points of the solve's node

@@ -320,6 +320,18 @@ def test_md_renders_one_row_per_point(tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("n0, first", [(4, "0.25"), (10, "0.10"), (40, "0.025"), (7, "0.142857")])
+def test_md_labels_each_point_apart(n0, first):
+    """The t_i column takes the fewest decimals, at least 2, at which every
+    label reads back as its point (at most 6): 1/40 is 0.025, not 0.03,
+    and no two rows share a label."""
+    report = u.run_study(small_study(n_sequence=(n0, 2 * n0), tol=1e-10))
+    labels = [line.split(" | ")[0][2:] for line in u.render_report(report, "md").splitlines()
+              if line.startswith("| 0.")]
+    assert labels[0] == first and len(set(labels)) == len(labels) == n0 - 1
+    assert {len(label) for label in labels} == {len(first)}
+
+
 def test_orders_recomputed_from_emitted_errors_match(tmp_path):
     report = u.run_study(small_study())
     path = tmp_path / "report.csv"
